@@ -22,13 +22,16 @@ build:
 
 # vet also enforces the observability conventions: metric names follow
 # subsystem_signal_unit and every registered metric is documented in
-# OPERATIONS.md.
+# OPERATIONS.md. The site benchmark (sitebench/) is a nested module outside
+# ./..., so vet and test visit it explicitly.
 vet:
 	$(GO) vet ./...
+	$(GO) -C sitebench vet .
 	$(GO) run ./cmd/metriclint
 
 test:
 	$(GO) test ./...
+	$(GO) -C sitebench test .
 
 # The tier-1 gate: everything must build, vet clean and pass.
 check: build vet test

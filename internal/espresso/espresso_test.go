@@ -565,25 +565,41 @@ func TestFigIV3PartitionLayout(t *testing.T) {
 	// The partition distribution of Figure IV.3: every partition has exactly
 	// one master and replicas-1 slaves, spread across nodes.
 	c := newTestCluster(t, 6, 2, 3)
-	time.Sleep(200 * time.Millisecond) // let slaves finish converging
-	masters := map[int]string{}
-	slaveCount := map[int]int{}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, m := range c.members {
-		states := m.participant.States(c.DB.Schema.Name)
-		for p, st := range states {
-			switch st {
-			case "MASTER":
-				if prev, dup := masters[p]; dup {
-					t.Fatalf("partition %d has two masters: %s and %s", p, prev, id)
+	layout := func() (masters map[int]string, slaveCount map[int]int) {
+		masters, slaveCount = map[int]string{}, map[int]int{}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for id, m := range c.members {
+			states := m.participant.States(c.DB.Schema.Name)
+			for p, st := range states {
+				switch st {
+				case "MASTER":
+					if prev, dup := masters[p]; dup {
+						t.Fatalf("partition %d has two masters: %s and %s", p, prev, id)
+					}
+					masters[p] = id
+				case "SLAVE":
+					slaveCount[p]++
 				}
-				masters[p] = id
-			case "SLAVE":
-				slaveCount[p]++
 			}
 		}
+		return masters, slaveCount
 	}
+	// Let slaves finish converging: a partition handed to a later node keeps
+	// its old slave until that node's transitions land.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		masters, slaveCount := layout()
+		settled := len(masters) == 6
+		for p := 0; p < 6; p++ {
+			settled = settled && slaveCount[p] == 1
+		}
+		if settled || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	masters, slaveCount := layout()
 	if len(masters) != 6 {
 		t.Fatalf("only %d/6 partitions mastered", len(masters))
 	}

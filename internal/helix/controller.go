@@ -1,9 +1,12 @@
 package helix
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path"
+	"strconv"
 	"sync"
 	"time"
 
@@ -106,8 +109,9 @@ func (c *Controller) Start() {
 
 func (c *Controller) run() {
 	defer c.wg.Done()
+	live := childWatch{sess: c.sess, dir: base(c.clusterName) + "/instances"}
 	for {
-		liveList, liveWatch, err := c.sess.WatchChildren(base(c.clusterName) + "/instances")
+		liveList, err := live.list()
 		if err != nil {
 			return
 		}
@@ -115,7 +119,8 @@ func (c *Controller) run() {
 		select {
 		case <-c.stop:
 			return
-		case <-liveWatch:
+		case <-live.fired:
+			live.fired = nil
 		case <-c.kick:
 		case <-time.After(50 * time.Millisecond):
 			// Poll current states: participants update them out-of-band.
@@ -144,8 +149,7 @@ func (c *Controller) currentState(instance, resource string) map[int]State {
 	}
 	out := make(map[int]State, len(raw))
 	for k, st := range raw {
-		var p int
-		fmt.Sscanf(k, "%d", &p)
+		p, _ := strconv.Atoi(k)
 		out[p] = st
 	}
 	return out
@@ -264,38 +268,22 @@ func (c *Controller) issue(t Transition) {
 }
 
 // publishExternalView writes the routable view (who masters what) for
-// spectators such as the Espresso router.
+// spectators such as the Espresso router. An unchanged view is not
+// rewritten: every write moves the znode's Mzxid, which would make every
+// spectator decode the view again and fire data watches for nothing.
 func (c *Controller) publishExternalView(resource string, view Assignment) {
 	data, err := json.Marshal(view)
 	if err != nil {
 		return
 	}
 	p := base(c.clusterName) + "/externalview/" + resource
-	if ok, _ := c.sess.Exists(p); !ok {
+	stored, _, err := c.sess.Get(p)
+	switch {
+	case errors.Is(err, zk.ErrNoNode):
 		_ = c.sess.CreateAll(p, data)
-		return
+	case err == nil && !bytes.Equal(stored, data):
+		_, _ = c.sess.Set(p, data, -1)
 	}
-	_, _ = c.sess.Set(p, data, -1)
-}
-
-// ExternalView reads the current external view for a resource.
-func (c *Controller) ExternalView(resource string) (Assignment, error) {
-	return readExternalView(c.sess, c.clusterName, resource)
-}
-
-func readExternalView(sess *zk.Session, clusterName, resource string) (Assignment, error) {
-	data, _, err := sess.Get(base(clusterName) + "/externalview/" + resource)
-	if err != nil {
-		return nil, err
-	}
-	var a Assignment
-	if len(data) == 0 {
-		return Assignment{}, nil
-	}
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 // Close stops the control loop and the session.
@@ -310,10 +298,14 @@ func (c *Controller) Close() {
 }
 
 // Spectator provides read-only access to the external view — the routing
-// table consumers like the Espresso router use.
+// table consumers like the Espresso router use. Like a Helix spectator it
+// keeps each resource's view decoded and re-decodes only when the znode
+// changes; every read still checks the live znode's Mzxid, so a route is
+// never older than the view the controller last published.
 type Spectator struct {
 	clusterName string
 	sess        *zk.Session
+	views       sync.Map // resource -> *zk.Memo[Assignment]
 }
 
 // NewSpectator opens a read-only view of the cluster.
@@ -321,14 +313,40 @@ func NewSpectator(srv *zk.Server, clusterName string) *Spectator {
 	return &Spectator{clusterName: clusterName, sess: srv.NewSession()}
 }
 
-// ExternalView reads the routable assignment for resource.
+// view returns resource's current external view. The result is shared with
+// concurrent readers and must not be modified.
+func (s *Spectator) view(resource string) (Assignment, error) {
+	m, ok := s.views.Load(resource)
+	if !ok {
+		m, _ = s.views.LoadOrStore(resource, zk.NewMemo(s.sess, base(s.clusterName)+"/externalview/"+resource, decodeAssignment))
+	}
+	a, _, err := m.(*zk.Memo[Assignment]).Get()
+	return a, err
+}
+
+func decodeAssignment(data []byte) (Assignment, error) {
+	a := Assignment{}
+	if len(data) == 0 {
+		return a, nil
+	}
+	if err := json.Unmarshal(data, &a); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// ExternalView returns a copy of the routable assignment for resource.
 func (s *Spectator) ExternalView(resource string) (Assignment, error) {
-	return readExternalView(s.sess, s.clusterName, resource)
+	view, err := s.view(resource)
+	if err != nil {
+		return nil, err
+	}
+	return view.Clone(), nil
 }
 
 // MasterOf returns the instance currently mastering partition p of resource.
 func (s *Spectator) MasterOf(resource string, p int) (string, error) {
-	view, err := s.ExternalView(resource)
+	view, err := s.view(resource)
 	if err != nil {
 		return "", err
 	}
@@ -341,6 +359,29 @@ func (s *Spectator) MasterOf(resource string, p int) (string, error) {
 
 // Close releases the session.
 func (s *Spectator) Close() { s.sess.Close() }
+
+// childWatch lists a znode's children while keeping at most one one-shot
+// watch armed on them. zk disarms a watch only when it fires, so a loop that
+// re-armed on every poll timeout would pile up watches on a quiet node; this
+// one re-arms only after the pending watch has fired (the loop sets fired to
+// nil once it receives from it) and otherwise re-lists with a plain read.
+type childWatch struct {
+	sess  *zk.Session
+	dir   string
+	fired <-chan zk.Event // the armed watch; nil when none is
+}
+
+func (w *childWatch) list() ([]string, error) {
+	if w.fired != nil {
+		return w.sess.Children(w.dir)
+	}
+	kids, ch, err := w.sess.WatchChildren(w.dir)
+	if err != nil {
+		return nil, err
+	}
+	w.fired = ch
+	return kids, nil
+}
 
 // msgPath helpers shared with participants.
 func messagesDir(clusterName, instance string) string {

@@ -61,9 +61,9 @@ func (m *HealthMonitor) raise(instance, format string, args ...any) {
 
 func (m *HealthMonitor) run() {
 	defer m.wg.Done()
-	dir := base(m.clusterName) + "/instances"
+	instances := childWatch{sess: m.sess, dir: base(m.clusterName) + "/instances"}
 	for {
-		live, watch, err := m.sess.WatchChildren(dir)
+		live, err := instances.list()
 		if err != nil {
 			return
 		}
@@ -71,7 +71,8 @@ func (m *HealthMonitor) run() {
 		select {
 		case <-m.stop:
 			return
-		case <-watch:
+		case <-instances.fired:
+			instances.fired = nil
 		case <-time.After(time.Second):
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // State is a node's role for one partition.
@@ -163,7 +164,7 @@ func (a Assignment) Equal(b Assignment) bool {
 func (a Assignment) MarshalJSON() ([]byte, error) {
 	out := make(map[string]map[string]State, len(a))
 	for p, m := range a {
-		out[fmt.Sprintf("%d", p)] = m
+		out[strconv.Itoa(p)] = m
 	}
 	return json.Marshal(out)
 }
@@ -176,8 +177,8 @@ func (a *Assignment) UnmarshalJSON(data []byte) error {
 	}
 	out := make(Assignment, len(raw))
 	for k, m := range raw {
-		var p int
-		if _, err := fmt.Sscanf(k, "%d", &p); err != nil {
+		p, err := strconv.Atoi(k)
+		if err != nil {
 			return fmt.Errorf("helix: bad partition key %q", k)
 		}
 		out[p] = m

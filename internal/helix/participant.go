@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -98,8 +99,9 @@ func (p *Participant) States(resource string) map[int]State {
 func (p *Participant) pump() {
 	defer p.wg.Done()
 	dir := messagesDir(p.clusterName, p.instance)
+	msgs := childWatch{sess: p.sess, dir: dir}
 	for {
-		kids, watch, err := p.sess.WatchChildren(dir)
+		kids, err := msgs.list()
 		if err != nil {
 			return
 		}
@@ -119,7 +121,8 @@ func (p *Participant) pump() {
 		select {
 		case <-p.stop:
 			return
-		case <-watch:
+		case <-msgs.fired:
+			msgs.fired = nil
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
@@ -150,7 +153,7 @@ func (p *Participant) apply(t Transition) {
 	}
 	snapshot := make(map[string]State, len(p.states[t.Resource]))
 	for part, st := range p.states[t.Resource] {
-		snapshot[fmt.Sprintf("%d", part)] = st
+		snapshot[strconv.Itoa(part)] = st
 	}
 	p.mu.Unlock()
 

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,41 +21,93 @@ import (
 
 // startDropProxy forwards TCP connections to target, dropping some at accept
 // time and killing established ones on the client→broker read path
-// ("proxy.conn.read"). Drops land before a complete request is forwarded —
-// the broker only acts on full length-prefixed frames — so a dropped
-// connection can never have half-applied a request and retries stay
-// duplicate-free.
-func startDropProxy(t *testing.T, target string, inj *resilience.DeterministicInjector) string {
+// ("proxy.conn.read"). A kill discards the bytes it was about to forward, so
+// drops land before a complete request is forwarded — the broker only acts
+// on full length-prefixed frames — and a dropped connection can never have
+// half-applied a request.
+//
+// maxBurst > 0 caps the drops between two responses reaching the client, so
+// the schedule models transient drops rather than an outage. Which request a
+// drawn fault hits depends on how the kernel splits the byte stream into
+// reads, so without a cap a seeded schedule still yields an occasional long
+// run of failures; maxBurst 0 leaves the schedule uncapped.
+func startDropProxy(t *testing.T, target string, inj *resilience.DeterministicInjector, maxBurst int32) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	var burst atomic.Int32 // drops since a response last reached the client
+	inject := func(op string) error {
+		if maxBurst > 0 && burst.Load() >= maxBurst {
+			return nil
+		}
+		err := inj.Inject(op)
+		if err != nil {
+			burst.Add(1)
+		}
+		return err
+	}
 	go func() {
 		for {
 			c, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			if inj.Inject("proxy.accept") != nil {
+			if inject("proxy.accept") != nil {
 				c.Close()
 				continue
 			}
 			go func(c net.Conn) {
-				fc := inj.WrapConn("proxy.conn", c)
-				defer fc.Close()
+				defer c.Close()
 				up, err := net.Dial("tcp", target)
 				if err != nil {
 					return
 				}
 				defer up.Close()
-				go func() { _, _ = io.Copy(up, fc) }()
-				_, _ = io.Copy(fc, up)
+				go func() { _, _ = io.Copy(up, faultyReader{c, inject}) }()
+				_, _ = io.Copy(burstResetWriter{c, &burst}, up)
 			}(c)
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// faultyReader injects "proxy.conn.read" once bytes have arrived and before
+// they are passed on; a fault closes the connection and discards them. (A
+// fault drawn before the read would instead land right after the previous
+// request was forwarded, failing a request the broker then still applies —
+// possibly after the client's retry and its next request.)
+type faultyReader struct {
+	c      net.Conn
+	inject func(op string) error
+}
+
+func (r faultyReader) Read(p []byte) (int, error) {
+	n, err := r.c.Read(p)
+	if n > 0 {
+		if ferr := r.inject("proxy.conn.read"); ferr != nil {
+			r.c.Close()
+			return 0, ferr
+		}
+	}
+	return n, err
+}
+
+// burstResetWriter forwards broker responses to the client, ending the
+// current drop burst once one is through.
+type burstResetWriter struct {
+	c     net.Conn
+	burst *atomic.Int32
+}
+
+func (w burstResetWriter) Write(p []byte) (int, error) {
+	n, err := w.c.Write(p)
+	if err == nil {
+		w.burst.Store(0)
+	}
+	return n, err
 }
 
 // TestChaosRemoteBrokerRidesOutConnectionDrops produces and consumes through
@@ -71,7 +124,11 @@ func TestChaosRemoteBrokerRidesOutConnectionDrops(t *testing.T) {
 	inj := resilience.NewInjector(5)
 	inj.Plan("proxy.accept", resilience.FaultPlan{DropProb: 0.4})
 	inj.Plan("proxy.conn.read", resilience.FaultPlan{DropProb: 0.25})
-	proxyAddr := startDropProxy(t, addr, inj)
+	// Each drop fails one attempt. Bursts of at most 3 stay under the
+	// breaker's threshold of 8 consecutive failures even if every drop also
+	// cost a response already on its way; a longer burst is an outage, which
+	// the breaker fails fast on by design.
+	proxyAddr := startDropProxy(t, addr, inj, 3)
 
 	rb := DialBroker(proxyAddr, time.Second)
 	defer rb.Close()
@@ -181,7 +238,7 @@ func TestChaosMuxConcurrentProduceFetchNoCrossing(t *testing.T) {
 	inj.Plan("proxy.conn.read", resilience.FaultPlan{
 		DropProb: 0.02, LatencyProb: 0.10, Latency: 300 * time.Microsecond,
 	})
-	proxyAddr := startDropProxy(t, addr, inj)
+	proxyAddr := startDropProxy(t, addr, inj, 0)
 
 	rb := DialBroker(proxyAddr, time.Second)
 	defer rb.Close()

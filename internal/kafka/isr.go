@@ -92,6 +92,12 @@ type isrRecord struct {
 	ISR    []string `json:"isr"`
 }
 
+func decodeISR(data []byte) (isrRecord, error) {
+	var rec isrRecord
+	err := json.Unmarshal(data, &rec)
+	return rec, err
+}
+
 func isrPath(cluster, topic string, partition int) string {
 	return fmt.Sprintf("/kafka/%s/isr/%s/%d", cluster, topic, partition)
 }
@@ -127,8 +133,9 @@ type followerPos struct {
 
 // partState is one partition's replication state on one broker.
 type partState struct {
-	topic string
-	part  int
+	topic  string
+	part   int
+	isrRec *zk.Memo[isrRecord] // the zk ISR record, decoded once per change
 
 	// lead fences leader appends against demotion: Produce holds the read
 	// side across its leadership check, append and flush; becomeStandby holds
@@ -210,12 +217,13 @@ func (rb *ReplicatedBroker) state(tp topicPartition) *partState {
 	st, ok := rb.parts[tp]
 	if !ok {
 		st = &partState{
-			topic: tp.topic,
-			part:  tp.partition,
-			role:  helix.StateOffline,
-			isr:   map[string]bool{},
-			pos:   map[string]*followerPos{},
-			hwCh:  make(chan struct{}),
+			topic:  tp.topic,
+			part:   tp.partition,
+			isrRec: zk.NewMemo(rb.sess, isrPath(rb.cfg.Cluster, tp.topic, tp.partition), decodeISR),
+			role:   helix.StateOffline,
+			isr:    map[string]bool{},
+			pos:    map[string]*followerPos{},
+			hwCh:   make(chan struct{}),
 		}
 		rb.parts[tp] = st
 	}
@@ -314,7 +322,7 @@ func (rb *ReplicatedBroker) becomeLeader(st *partState) error {
 	l.SetLimit(hw)
 
 	// Fence the new epoch: CAS over whatever the previous leader published.
-	rec, ver := rb.readISR(st.topic, st.part)
+	rec, ver := readISR(st)
 	epoch := rec.Epoch + 1
 	stop := make(chan struct{})
 	st.mu.Lock()
@@ -340,17 +348,18 @@ func (rb *ReplicatedBroker) becomeLeader(st *partState) error {
 }
 
 // readISR returns the partition's ISR record and znode version (-1 when the
-// znode does not exist yet).
-func (rb *ReplicatedBroker) readISR(topic string, partition int) (isrRecord, int) {
-	data, stat, err := rb.sess.Get(isrPath(rb.cfg.Cluster, topic, partition))
-	if err != nil {
+// znode does not exist yet). The record is shared with other readers and
+// must not be modified.
+func readISR(st *partState) (isrRecord, int) {
+	rec, stat, err := st.isrRec.Get()
+	switch {
+	case err == nil:
+		return rec, stat.Version
+	case errors.Is(err, zk.ErrNoNode):
 		return isrRecord{}, -1
-	}
-	var rec isrRecord
-	if json.Unmarshal(data, &rec) != nil {
+	default: // undecodable record
 		return isrRecord{}, stat.Version
 	}
-	return rec, stat.Version
 }
 
 // publishISRLocked CAS-writes the partition's ISR record. A version conflict
@@ -387,7 +396,7 @@ func (rb *ReplicatedBroker) publishISRLocked(st *partState) error {
 		if !errors.Is(err, zk.ErrBadVersion) {
 			return err
 		}
-		rec, ver := rb.readISR(st.topic, st.part)
+		rec, ver := readISR(st)
 		if rec.Epoch > st.epoch {
 			st.deposed = true
 			close(st.hwCh)
@@ -691,7 +700,7 @@ func (rb *ReplicatedBroker) followerLoop(st *partState, l *Log, stop chan struct
 			return
 		default:
 		}
-		rec, _ := rb.readISR(st.topic, st.part)
+		rec, _ := readISR(st)
 		if rec.Leader == "" || rec.Leader == rb.instance {
 			if !pause(5 * time.Millisecond) {
 				return
@@ -921,8 +930,8 @@ func (rc *RoutedClient) leader(tp topicPartition) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%w: %s/%d", errNoLeader, tp.topic, tp.partition)
 	}
-	var rec isrRecord
-	if json.Unmarshal(data, &rec) != nil || rec.Leader == "" {
+	rec, err := decodeISR(data)
+	if err != nil || rec.Leader == "" {
 		return "", fmt.Errorf("%w: %s/%d", errNoLeader, tp.topic, tp.partition)
 	}
 	rc.mu.Lock()
@@ -1150,15 +1159,17 @@ func (c *ReplicatedCluster) isrPreference(topic string) helix.PreferenceFilter {
 
 // ISRPreference builds the election preference filter for a topic from the
 // cluster's zk metadata; exported so TCP deployments (cmd/kafka-broker and
-// the chaos suites) can wire the same election policy by hand.
+// the chaos suites) can wire the same election policy by hand. Each
+// partition's ISR record is decoded once per change, not once per rebalance.
 func ISRPreference(sess *zk.Session, cluster, topic string) helix.PreferenceFilter {
+	var records sync.Map // partition -> *zk.Memo[isrRecord]
 	return func(partition int, chosen []string) []string {
-		data, _, err := sess.Get(isrPath(cluster, topic, partition))
-		if err != nil {
-			return chosen
+		m, ok := records.Load(partition)
+		if !ok {
+			m, _ = records.LoadOrStore(partition, zk.NewMemo(sess, isrPath(cluster, topic, partition), decodeISR))
 		}
-		var rec isrRecord
-		if json.Unmarshal(data, &rec) != nil {
+		rec, _, err := m.(*zk.Memo[isrRecord]).Get()
+		if err != nil {
 			return chosen
 		}
 		inISR := map[string]bool{}
@@ -1207,8 +1218,8 @@ func (c *ReplicatedCluster) LeaderOf(topic string, partition int) (string, error
 	if err != nil {
 		return "", err
 	}
-	var rec isrRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	rec, err := decodeISR(data)
+	if err != nil {
 		return "", err
 	}
 	if rec.Leader == "" {
@@ -1223,8 +1234,8 @@ func (c *ReplicatedCluster) ISROf(topic string, partition int) []string {
 	if err != nil {
 		return nil
 	}
-	var rec isrRecord
-	if json.Unmarshal(data, &rec) != nil {
+	rec, err := decodeISR(data)
+	if err != nil {
 		return nil
 	}
 	return rec.ISR

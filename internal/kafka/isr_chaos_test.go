@@ -82,7 +82,7 @@ func newTCPReplicatedRig(t *testing.T, brokers int, cfg ReplicatedConfig, inj *r
 			t.Fatal(err)
 		}
 		instance := fmt.Sprintf("broker-%d", i)
-		rig.proxies[instance] = startDropProxy(t, addr, inj)
+		rig.proxies[instance] = startDropProxy(t, addr, inj, 0)
 		rb, err := NewReplicatedBroker(b, rig.srv, cfg, resolve)
 		if err != nil {
 			t.Fatal(err)

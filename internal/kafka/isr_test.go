@@ -622,6 +622,121 @@ func TestFollowerTruncatesUnackedTailOnEpochChange(t *testing.T) {
 	})
 }
 
+// epochPeer is a scripted leader that records the epochs it is fetched under.
+type epochPeer struct {
+	scriptedPeer
+	mu     sync.Mutex
+	epochs map[int]int
+}
+
+func (p *epochPeer) ReplicaFetch(topic string, partition int, offset int64, maxBytes int, wait time.Duration, follower string, epoch int) (int64, []byte, error) {
+	p.mu.Lock()
+	p.epochs[epoch]++
+	p.mu.Unlock()
+	return p.scriptedPeer.ReplicaFetch(topic, partition, offset, maxBytes, wait, follower, epoch)
+}
+
+func (p *epochPeer) fetchesAt(epoch int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.epochs[epoch]
+}
+
+// TestFollowerSeesEpochBumpUnderSameLeader: the ISR record is rewritten with
+// the same leader and a new epoch (a leader that re-won its own election).
+// The follower reads the record through a memo keyed on the znode's Mzxid,
+// so it must still notice the rewrite and fetch under the new epoch — the
+// old-epoch peer here keeps answering, so only a re-read can move it on.
+func TestFollowerSeesEpochBumpUnderSameLeader(t *testing.T) {
+	srv := zk.NewServer()
+	sess := srv.NewSession()
+	defer sess.Close()
+	ctrl, err := helix.NewController(srv, "t8") // cluster tree only; never started
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	mkLog := func(msgs ...string) *Log {
+		t.Helper()
+		l, err := OpenLog(t.TempDir(), LogConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		for _, m := range msgs {
+			if _, err := l.Append(NewMessageSet([]byte(m))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l
+	}
+	l1 := mkLog("m-000", "m-001")
+	l2 := mkLog("m-000", "m-001", "m-002-epoch-2")
+	old := &epochPeer{scriptedPeer: scriptedPeer{l: l1, hw: l1.FlushedEnd(), epoch: 1}, epochs: map[int]int{}}
+	bumped := &epochPeer{scriptedPeer: scriptedPeer{l: l2, hw: l2.FlushedEnd(), epoch: 2}, epochs: map[int]int{}}
+	var mu sync.Mutex
+	current := old
+	resolve := func(instance string) (ReplicaPeer, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if instance != "alpha" {
+			return nil, fmt.Errorf("kafka: unknown broker %q", instance)
+		}
+		return current, nil
+	}
+	b, err := NewBroker(0, t.TempDir(), BrokerConfig{PartitionsPerTopic: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := NewReplicatedBroker(b, srv, ReplicatedConfig{Cluster: "t8", FetchWait: 5 * time.Millisecond}, resolve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	p := isrPath("t8", "events", 0)
+	publish := func(epoch int) {
+		t.Helper()
+		data, _ := json.Marshal(isrRecord{Epoch: epoch, Leader: "alpha", ISR: []string{"alpha", rb.Instance()}})
+		if _, stat, err := sess.Get(p); err == nil {
+			if _, err := sess.Set(p, data, stat.Version); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if err := sess.CreateAll(p, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish(1)
+	if err := rb.apply(helix.Transition{
+		Resource: "events", Partition: 0,
+		From: helix.StateOffline, To: helix.StateStandby,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fl, err := rb.Broker().log("events", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "epoch-1 replication", 5*time.Second, func() bool { return fl.FlushedEnd() == l1.FlushedEnd() })
+
+	mu.Lock()
+	current = bumped
+	mu.Unlock()
+	publish(2)
+	want, err := l2.ReadUncapped(0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "replication under epoch 2", 5*time.Second, func() bool {
+		got, err := fl.ReadUncapped(0, 1<<20)
+		return err == nil && bytes.Equal(want, got)
+	})
+	if n := bumped.fetchesAt(2); n == 0 {
+		t.Fatal("follower never fetched under epoch 2")
+	}
+}
+
 // TestFollowerUnackedTailRepairedOnFailover reproduces the follower-divergence
 // hazard: both followers hold distinct unacked tails past the high watermark
 // (as if replicated from a leadership that died before acking them), the

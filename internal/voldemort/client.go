@@ -2,6 +2,7 @@ package voldemort
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"datainfra/internal/versioned"
@@ -147,7 +148,7 @@ func (c *Client) Delete(key []byte) (bool, error) {
 // ApplyUpdate is API method 5: the "read, modify, write if no change" loop
 // for counters and similar. action sees the current resolved version (nil if
 // absent) and returns the new value; on an optimistic-lock conflict the loop
-// retries up to retries times.
+// backs off and retries up to retries times.
 func (c *Client) ApplyUpdate(key []byte, retries int, action UpdateAction) error {
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
@@ -174,6 +175,20 @@ func (c *Client) ApplyUpdate(key []byte, retries int, action UpdateAction) error
 			return err
 		}
 		lastErr = err // concurrent writer won; retry with fresh state
+		if attempt < retries {
+			// The winner's write may still be on its way to the replica
+			// that answers the next read; re-reading at once would see the
+			// same stale version and spend the retries in microseconds.
+			time.Sleep(conflictBackoff(attempt))
+		}
 	}
 	return fmt.Errorf("voldemort: applyUpdate exhausted %d retries: %w", retries, lastErr)
+}
+
+// conflictBackoff is the pause after the n-th lost optimistic-lock race
+// (n from 0): uniform in (0, 50µs·2^n], capped at 6.4ms, so competing
+// writers decorrelate instead of colliding again in lockstep.
+func conflictBackoff(n int) time.Duration {
+	limit := int64(50*time.Microsecond) << min(n, 7)
+	return time.Duration(rand.Int63n(limit) + 1)
 }

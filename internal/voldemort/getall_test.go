@@ -3,6 +3,7 @@ package voldemort
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -79,6 +80,27 @@ func TestGetAllRoutedWithFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// W=2 returns before the third replica's write lands, and with R=1 that
+	// lagging replica may answer a read alone: wait until every node (N=3 of
+	// 3) holds every key, so a missing key can only be the failure's doing.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, es := range rig.engines {
+		for _, k := range keys {
+			for {
+				vs, err := es.Get(k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(vs) > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("key %s never reached every replica", k)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
 	rig.flaky[0].SetFailing(true) // R=1 of N=3 still satisfiable
 	got, err := c.GetAll(keys)
 	if err != nil {
@@ -90,13 +112,16 @@ func TestGetAllRoutedWithFailures(t *testing.T) {
 }
 
 // gatedGetStore blocks every Get until released, so in-flight GetAll work
-// piles up and the concurrency bound becomes observable.
+// piles up and the concurrency bound becomes observable. entered counts the
+// Gets parked at the gate.
 type gatedGetStore struct {
 	Store
 	release chan struct{}
+	entered *atomic.Int64
 }
 
 func (g *gatedGetStore) Get(key []byte, tr *Transform) ([]*versioned.Versioned, error) {
+	g.entered.Add(1)
 	<-g.release
 	return g.Store.Get(key, tr)
 }
@@ -106,9 +131,14 @@ func (g *gatedGetStore) Get(key []byte, tr *Transform) ([]*versioned.Versioned, 
 // goroutine per key (all parked on the semaphore), only the bounded window.
 func TestRoutedGetAllBoundsGoroutines(t *testing.T) {
 	rig := newRig(t, 3, 12, 2, 1, 2, false)
+	// The gate holds every replica read until the measurement is taken; the
+	// replica timeout must outlast that however slowly the test is
+	// scheduled, or timed-out keys would free their semaphore slots early.
+	rig.routed.timeout = time.Minute
 	release := make(chan struct{})
+	var entered atomic.Int64
 	for id, st := range rig.routed.stores {
-		rig.routed.stores[id] = &gatedGetStore{Store: st, release: release}
+		rig.routed.stores[id] = &gatedGetStore{Store: st, release: release, entered: &entered}
 	}
 	const nkeys = 400
 	keys := make([][]byte, nkeys)
@@ -121,18 +151,19 @@ func TestRoutedGetAllBoundsGoroutines(t *testing.T) {
 		_, err := rig.routed.GetAll(keys)
 		done <- err
 	}()
-	// Let the batch saturate the semaphore while every Get is gated.
-	deadline := time.Now().Add(2 * time.Second)
-	var during int
-	for time.Now().Before(deadline) {
-		during = runtime.NumGoroutine()
-		if during > before+16 {
-			break // window is full; growth has peaked
+	// Let the batch saturate the semaphore: the window is full once each of
+	// the 16 admitted keys has parked its preferred replica reads at the gate.
+	full := int64(16 * rig.def.PreferredReads)
+	deadline := time.Now().Add(10 * time.Second)
+	for entered.Load() < full {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatalf("only %d of %d replica reads reached the gate", entered.Load(), full)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	time.Sleep(20 * time.Millisecond)
-	during = runtime.NumGoroutine()
+	during := runtime.NumGoroutine()
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)

@@ -77,7 +77,12 @@ const (
 
 // Stat carries node metadata.
 type Stat struct {
-	Version     int
+	Version int
+	// Mzxid is the zxid of the node's last create or set. Zxids come from
+	// one server-wide counter bumped by every create, set and delete, so
+	// unlike Version it never repeats for a path: a node deleted and
+	// recreated gets a fresh Mzxid even though its Version restarts at 0.
+	Mzxid       int64
 	Ephemeral   bool
 	NumChildren int
 }
@@ -85,6 +90,7 @@ type Stat struct {
 type znode struct {
 	data      []byte
 	version   int
+	mzxid     int64
 	ephemeral bool
 	owner     *Session // for ephemerals
 	children  map[string]*znode
@@ -99,6 +105,7 @@ type znode struct {
 type Server struct {
 	mu   sync.Mutex
 	root *znode
+	zxid int64 // last transaction id; bumped by every create, set and delete
 }
 
 // NewServer returns an empty namespace containing only "/".
@@ -188,8 +195,10 @@ func (sess *Session) Create(p string, data []byte, flags CreateFlag) (string, er
 	if _, exists := parent.children[name]; exists {
 		return "", fmt.Errorf("%w: %s", ErrNodeExists, p)
 	}
+	s.zxid++
 	node := &znode{
 		data:      append([]byte(nil), data...),
+		mzxid:     s.zxid,
 		ephemeral: flags&FlagEphemeral != 0,
 		children:  map[string]*znode{},
 	}
@@ -209,18 +218,38 @@ func (sess *Session) Create(p string, data []byte, flags CreateFlag) (string, er
 
 // Get returns the data and stat of the node at p.
 func (sess *Session) Get(p string) ([]byte, Stat, error) {
-	s := sess.srv
+	data, stat, _, err := sess.GetIfChanged(p, 0)
+	return data, stat, err
+}
+
+// GetIfChanged is Get for a caller that already holds the node's data as of
+// mzxid: when the node's Mzxid still equals mzxid it returns the current
+// stat, no data and changed=false, so a reader that keeps a decoded copy pays
+// only the lookup. Every created node's Mzxid is at least 1, so mzxid 0
+// reads the data of any node but the (always empty) root.
+func (sess *Session) GetIfChanged(p string, mzxid int64) (data []byte, stat Stat, changed bool, err error) {
 	parts, err := splitPath(p)
 	if err != nil {
-		return nil, Stat{}, err
+		return nil, Stat{}, false, err
 	}
+	return sess.srv.getIfChanged(parts, p, mzxid)
+}
+
+func (s *Server) getIfChanged(parts []string, display string, mzxid int64) ([]byte, Stat, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, err := s.lookup(parts)
 	if err != nil {
-		return nil, Stat{}, fmt.Errorf("%w: %s", err, p)
+		return nil, Stat{}, false, fmt.Errorf("%w: %s", err, display)
 	}
-	return append([]byte(nil), n.data...), Stat{Version: n.version, Ephemeral: n.ephemeral, NumChildren: len(n.children)}, nil
+	if n.mzxid == mzxid {
+		return nil, n.stat(), false, nil
+	}
+	return append([]byte(nil), n.data...), n.stat(), true, nil
+}
+
+func (n *znode) stat() Stat {
+	return Stat{Version: n.version, Mzxid: n.mzxid, Ephemeral: n.ephemeral, NumChildren: len(n.children)}
 }
 
 // Exists reports whether p exists.
@@ -252,10 +281,12 @@ func (sess *Session) Set(p string, data []byte, version int) (Stat, error) {
 	if version != -1 && version != n.version {
 		return Stat{}, fmt.Errorf("%w: have %d, got %d", ErrBadVersion, n.version, version)
 	}
+	s.zxid++
 	n.data = append([]byte(nil), data...)
 	n.version++
+	n.mzxid = s.zxid
 	notify(&n.dataWatches, Event{Type: EventDataChanged, Path: p})
-	return Stat{Version: n.version, Ephemeral: n.ephemeral, NumChildren: len(n.children)}, nil
+	return n.stat(), nil
 }
 
 // Delete removes the node at p; it must have no children. version follows
@@ -290,6 +321,7 @@ func (s *Server) deleteLocked(parts []string, version int, display string) error
 	if version != -1 && version != n.version {
 		return fmt.Errorf("%w: have %d, got %d", ErrBadVersion, n.version, version)
 	}
+	s.zxid++
 	delete(parent.children, name)
 	if n.owner != nil {
 		n.owner.mu.Lock()
@@ -363,6 +395,23 @@ func (sess *Session) WatchChildren(p string) ([]string, <-chan Event, error) {
 	ch := make(chan Event, 1)
 	n.childWatches = append(n.childWatches, ch)
 	return names, ch, nil
+}
+
+// PendingWatches reports how many one-shot watches are armed on p's data and
+// on its child list (ZooKeeper's per-path watch listing). A watch is disarmed
+// only when it fires, so a count that grows on an idle node is a leak.
+func (s *Server) PendingWatches(p string) (data, children int, err error) {
+	parts, err := splitPath(p)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, err := s.lookup(parts)
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w: %s", err, p)
+	}
+	return len(n.dataWatches), len(n.childWatches), nil
 }
 
 // CreateAll creates every missing persistent node along p (mkdir -p).
