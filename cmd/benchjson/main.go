@@ -35,14 +35,15 @@ type suite struct {
 // The transport suites (voldemort/kafka mux-vs-pool, databus blocking-read
 // wake) measure the RPC pipelining introduced with internal/rpc; their
 // headline rows run behind a simulated 1ms-RTT link where head-of-line
-// blocking dominates.
+// blocking dominates. The kafka suite also records one high-watermark
+// checkpoint write (BenchmarkLogSetLimit), the cost every ack pays.
 var suites = []suite{
 	{Pkg: ".", Bench: ".", Benchtime: "1x"},
 	{Pkg: ".", Bench: "BenchmarkAblation", Benchtime: "0.3s"},
 	{Pkg: "./internal/storage", Bench: ".", Benchtime: "2s", Cpu: "8"},
 	{Pkg: "./internal/schema", Bench: ".", Benchtime: "0.5s"},
 	{Pkg: "./internal/voldemort", Bench: "BenchmarkSocketStoreParallel", Benchtime: "0.3s"},
-	{Pkg: "./internal/kafka", Bench: "BenchmarkRemoteBrokerProduceFetchParallel", Benchtime: "0.3s"},
+	{Pkg: "./internal/kafka", Bench: "BenchmarkRemoteBrokerProduceFetchParallel|BenchmarkLogSetLimit", Benchtime: "0.3s"},
 	{Pkg: "./internal/databus", Bench: "BenchmarkRelay|BenchmarkDatabus", Benchtime: "0.3s"},
 	{Pkg: "./internal/cache", Bench: ".", Benchtime: "0.5s"},
 	{Pkg: "./internal/voldemort", Bench: "BenchmarkEngineStore", Benchtime: "0.5s"},

@@ -109,9 +109,9 @@ func (c *Controller) Start() {
 
 func (c *Controller) run() {
 	defer c.wg.Done()
-	live := childWatch{sess: c.sess, dir: base(c.clusterName) + "/instances"}
+	live := zk.NewChildWatch(c.sess, base(c.clusterName)+"/instances")
 	for {
-		liveList, err := live.list()
+		liveList, err := live.List()
 		if err != nil {
 			return
 		}
@@ -119,8 +119,8 @@ func (c *Controller) run() {
 		select {
 		case <-c.stop:
 			return
-		case <-live.fired:
-			live.fired = nil
+		case <-live.Fired():
+			live.Rearm()
 		case <-c.kick:
 		case <-time.After(50 * time.Millisecond):
 			// Poll current states: participants update them out-of-band.
@@ -359,29 +359,6 @@ func (s *Spectator) MasterOf(resource string, p int) (string, error) {
 
 // Close releases the session.
 func (s *Spectator) Close() { s.sess.Close() }
-
-// childWatch lists a znode's children while keeping at most one one-shot
-// watch armed on them. zk disarms a watch only when it fires, so a loop that
-// re-armed on every poll timeout would pile up watches on a quiet node; this
-// one re-arms only after the pending watch has fired (the loop sets fired to
-// nil once it receives from it) and otherwise re-lists with a plain read.
-type childWatch struct {
-	sess  *zk.Session
-	dir   string
-	fired <-chan zk.Event // the armed watch; nil when none is
-}
-
-func (w *childWatch) list() ([]string, error) {
-	if w.fired != nil {
-		return w.sess.Children(w.dir)
-	}
-	kids, ch, err := w.sess.WatchChildren(w.dir)
-	if err != nil {
-		return nil, err
-	}
-	w.fired = ch
-	return kids, nil
-}
 
 // msgPath helpers shared with participants.
 func messagesDir(clusterName, instance string) string {

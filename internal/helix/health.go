@@ -61,9 +61,9 @@ func (m *HealthMonitor) raise(instance, format string, args ...any) {
 
 func (m *HealthMonitor) run() {
 	defer m.wg.Done()
-	instances := childWatch{sess: m.sess, dir: base(m.clusterName) + "/instances"}
+	instances := zk.NewChildWatch(m.sess, base(m.clusterName)+"/instances")
 	for {
-		live, err := instances.list()
+		live, err := instances.List()
 		if err != nil {
 			return
 		}
@@ -71,8 +71,8 @@ func (m *HealthMonitor) run() {
 		select {
 		case <-m.stop:
 			return
-		case <-instances.fired:
-			instances.fired = nil
+		case <-instances.Fired():
+			instances.Rearm()
 		case <-time.After(time.Second):
 		}
 	}

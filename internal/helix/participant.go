@@ -99,9 +99,9 @@ func (p *Participant) States(resource string) map[int]State {
 func (p *Participant) pump() {
 	defer p.wg.Done()
 	dir := messagesDir(p.clusterName, p.instance)
-	msgs := childWatch{sess: p.sess, dir: dir}
+	msgs := zk.NewChildWatch(p.sess, dir)
 	for {
-		kids, err := msgs.list()
+		kids, err := msgs.List()
 		if err != nil {
 			return
 		}
@@ -121,8 +121,8 @@ func (p *Participant) pump() {
 		select {
 		case <-p.stop:
 			return
-		case <-msgs.fired:
-			msgs.fired = nil
+		case <-msgs.Fired():
+			msgs.Rearm()
 		case <-time.After(100 * time.Millisecond):
 		}
 	}

@@ -177,48 +177,6 @@ func TestExternalViewWrittenOnlyOnChange(t *testing.T) {
 	}
 }
 
-func TestChildWatchKeepsOneWatchArmed(t *testing.T) {
-	srv := zk.NewServer()
-	sess := srv.NewSession()
-	defer sess.Close()
-	dir := "/members"
-	if err := sess.CreateAll(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	w := childWatch{sess: sess, dir: dir}
-	for tick := 0; tick < 100; tick++ { // idle ticks: the watch never fires
-		if _, err := w.list(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, n, _ := srv.PendingWatches(dir); n != 1 {
-		t.Fatalf("child watches after 100 idle ticks = %d, want 1", n)
-	}
-
-	if _, err := sess.Create(dir+"/m1", nil, zk.FlagPersistent); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-w.fired:
-		if ev.Type != zk.EventChildrenChanged {
-			t.Fatalf("event = %v", ev.Type)
-		}
-		w.fired = nil
-	case <-time.After(time.Second):
-		t.Fatal("membership change did not fire the watch")
-	}
-	if _, n, _ := srv.PendingWatches(dir); n != 0 {
-		t.Fatalf("child watches after the change = %d, want 0 (exactly one fired)", n)
-	}
-	kids, err := w.list()
-	if err != nil || len(kids) != 1 || kids[0] != "m1" {
-		t.Fatalf("list after change = (%v, %v)", kids, err)
-	}
-	if _, n, _ := srv.PendingWatches(dir); n != 1 {
-		t.Fatalf("child watches after re-arming = %d, want 1", n)
-	}
-}
-
 // The three idle loops (controller rebalance, participant message pump,
 // health monitor) each keep one watch armed however many polls they make.
 func TestIdleLoopsDoNotLeakWatches(t *testing.T) {

@@ -159,9 +159,9 @@ func (g *GroupConsumer) allPartitions(topic string) []PartitionID {
 // consumer addition/removal and triggers a rebalance in each consumer).
 func (g *GroupConsumer) coordinatorLoop() {
 	defer g.wg.Done()
-	idsDir := fmt.Sprintf("/consumers/%s/ids", g.group)
+	ids := zk.NewChildWatch(g.sess, fmt.Sprintf("/consumers/%s/ids", g.group))
 	for {
-		members, watch, err := g.sess.WatchChildren(idsDir)
+		members, err := ids.List()
 		if err != nil {
 			return
 		}
@@ -169,7 +169,8 @@ func (g *GroupConsumer) coordinatorLoop() {
 		select {
 		case <-g.stop:
 			return
-		case <-watch:
+		case <-ids.Fired():
+			ids.Rearm()
 		case <-time.After(200 * time.Millisecond):
 			// periodic re-check (new topics/partitions appear without a
 			// membership event)

@@ -328,3 +328,40 @@ func TestMirrorReplicatesToOfflineCluster(t *testing.T) {
 		t.Fatalf("offline cluster has %d/%d messages", got, total)
 	}
 }
+
+// An idle group keeps one child watch per member armed on its ids dir,
+// however many 200 ms re-checks the coordinator makes, and a joining member
+// still rebalances it.
+func TestGroupIdleCoordinatorKeepsOneWatch(t *testing.T) {
+	srv, clients, _ := groupRig(t, 1, 4)
+	g1, err := NewGroupConsumer(srv, "g-idle", "c1", []string{"t"}, clients, GroupConfig{FromEarliest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g1.Close()
+	waitCond(t, "first owner", 5*time.Second, func() bool { return len(g1.Owned("t")) == 4 })
+	idsDir := "/consumers/g-idle/ids"
+	time.Sleep(20*200*time.Millisecond + 100*time.Millisecond) // 20 idle ticks
+	if _, n, _ := srv.PendingWatches(idsDir); n != 1 {
+		t.Fatalf("child watches on %s after 20 idle ticks = %d, want 1", idsDir, n)
+	}
+
+	before := g1.Rebalances()
+	g2, err := NewGroupConsumer(srv, "g-idle", "c2", []string{"t"}, clients, GroupConfig{FromEarliest: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	waitCond(t, "rebalance on join", 5*time.Second, func() bool {
+		return g1.Rebalances() > before && len(g1.Owned("t")) == 2 && len(g2.Owned("t")) == 2
+	})
+	// The join fired c1's watch; both members have one armed again.
+	waitCond(t, "watches re-armed", 5*time.Second, func() bool {
+		_, n, _ := srv.PendingWatches(idsDir)
+		return n == 2
+	})
+	time.Sleep(5 * 200 * time.Millisecond)
+	if _, n, _ := srv.PendingWatches(idsDir); n != 2 {
+		t.Fatalf("child watches after 5 more idle ticks = %d, want 2 (one per member)", n)
+	}
+}

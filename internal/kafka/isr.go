@@ -340,6 +340,7 @@ func (rb *ReplicatedBroker) becomeLeader(st *partState) error {
 	}
 	mPartitionHW.With(st.label()).Set(hw)
 	mISRSize.With(st.label()).Set(1)
+	mReplicaLag.With(st.label()).Set(0)
 	st.mu.Unlock()
 
 	st.done.Add(1)
@@ -561,7 +562,8 @@ func (rb *ReplicatedBroker) ReplicaFetch(topic string, partition int, offset int
 	}
 	fp.off = offset
 	fp.seen = time.Now()
-	if !st.isr[follower] && offset+rb.cfg.MaxLagBytes >= l.FlushedEnd() {
+	end := l.FlushedEnd()
+	if !st.isr[follower] && offset+rb.cfg.MaxLagBytes >= end {
 		st.isr[follower] = true
 		if err := rb.publishISRLocked(st); err != nil {
 			delete(st.isr, follower)
@@ -571,6 +573,7 @@ func (rb *ReplicatedBroker) ReplicaFetch(topic string, partition int, offset int
 		mISRExpands.Inc()
 		mISRSize.With(st.label()).Set(int64(len(st.isr)))
 	}
+	mReplicaLag.With(st.label()).Set(replicaLagLocked(st, end))
 	st.mu.Unlock()
 
 	rb.advanceHW(st, l)
@@ -595,6 +598,19 @@ func (rb *ReplicatedBroker) ReplicaFetch(topic string, partition int, offset int
 		return 0, nil, fmt.Errorf("%w: %s/%d", ErrNotLeader, topic, partition)
 	}
 	return hw, chunk, nil
+}
+
+// replicaLagLocked is the leader's durable end minus the position of the
+// slowest in-sync follower that has reported one (the leader itself never
+// has): the bytes an ack is still waiting on. Caller holds st.mu.
+func replicaLagLocked(st *partState, end int64) int64 {
+	var lag int64
+	for member := range st.isr {
+		if fp, ok := st.pos[member]; ok && end-fp.off > lag {
+			lag = end - fp.off
+		}
+	}
+	return lag
 }
 
 // leaderLoop evicts silent followers from the ISR. Removing a laggard can
@@ -776,7 +792,6 @@ func (rb *ReplicatedBroker) followerLoop(st *partState, l *Log, stop chan struct
 			mReplicaMessages.Inc()
 			fetchMax = rb.cfg.FetchMaxBytes
 		}
-		mReplicaLag.Set(hw - l.FlushedEnd())
 		l.SetLimit(hw)
 	}
 }

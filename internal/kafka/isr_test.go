@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -880,5 +881,138 @@ func TestFollowerUnackedTailRepairedOnFailover(t *testing.T) {
 		if !bytes.Equal(byOffset[off], payloads[i]) {
 			t.Fatalf("acked message %d at offset %d: got %q, want %q", i, off, byOffset[off], payloads[i])
 		}
+	}
+}
+
+// kafka_replica_lag_bytes is the leader's durable end minus the slowest
+// in-sync follower's position: above 0 while an in-sync follower has stopped
+// fetching, 0 once every in-sync follower has caught up.
+func TestReplicaLagGaugeTracksSlowestInSyncFollower(t *testing.T) {
+	c := newTestCluster(t, 2, ReplicatedConfig{
+		Cluster: "lag", Replicas: 2, MinISR: 1,
+		FetchWait: 20 * time.Millisecond, LagTimeout: time.Minute,
+	})
+	if err := c.AddTopic("lag"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WaitForISR("lag", 2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	leader, err := c.LeaderOf("lag", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := c.Broker(leader)
+	data, _, err := c.sess.Get(isrPath("lag", "lag", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decodeISR(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := rb.Broker().log("lag", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := mReplicaLag.With("lag/0")
+
+	// A second follower joins the ISR at the current end and then pauses.
+	// The long LagTimeout keeps it in sync, so the high watermark stalls at
+	// its position and the appends below go straight to the leader's log.
+	if _, _, err := rb.ReplicaFetch("lag", 0, l.FlushedEnd(), 1<<20, 0, "broker-paused", rec.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	paused := l.FlushedEnd()
+	for i := 0; i < 10; i++ {
+		if _, err := l.Append(NewMessageSet([]byte(fmt.Sprintf("unacked-%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	end := l.FlushedEnd()
+	// The running follower's next fetch reports the paused one's distance.
+	waitCond(t, "lag behind the paused follower", 5*time.Second, func() bool {
+		return gauge.Value() == end-paused
+	})
+
+	// The paused follower catches up: every in-sync follower is at the end.
+	waitCond(t, "lag back to 0", 5*time.Second, func() bool {
+		if _, _, err := rb.ReplicaFetch("lag", 0, l.FlushedEnd(), 1<<20, 0, "broker-paused", rec.Epoch); err != nil {
+			t.Fatal(err)
+		}
+		return gauge.Value() == 0
+	})
+}
+
+// countingPeer counts the replica fetches a follower sends its leader.
+type countingPeer struct {
+	ReplicaPeer
+	fetches atomic.Int64
+}
+
+func (p *countingPeer) ReplicaFetch(topic string, partition int, offset int64, maxBytes int, wait time.Duration, follower string, epoch int) (int64, []byte, error) {
+	p.fetches.Add(1)
+	return p.ReplicaPeer.ReplicaFetch(topic, partition, offset, maxBytes, wait, follower, epoch)
+}
+
+// TestReplicaFetcherTailLongPollNoBusySpin: a caught-up ISR follower parks in
+// long-poll replica fetches at the leader's idle tail. With a 100 ms
+// FetchWait an idle 500 ms window takes about 5 fetches; a follower that
+// re-fetched without parking would issue thousands.
+func TestReplicaFetcherTailLongPollNoBusySpin(t *testing.T) {
+	srv := zk.NewServer()
+	ctrl, err := helix.NewController(srv, "t9") // cluster tree only; never started
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+	cfg := ReplicatedConfig{Cluster: "t9", FetchWait: 100 * time.Millisecond}
+	newRB := func(id int, resolve PeerResolver) *ReplicatedBroker {
+		t.Helper()
+		b, err := NewBroker(id, t.TempDir(), BrokerConfig{PartitionsPerTopic: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := NewReplicatedBroker(b, srv, cfg, resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { rb.Close() })
+		return rb
+	}
+	leader := newRB(0, func(string) (ReplicaPeer, error) { return nil, errors.New("leader fetches from nobody") })
+	peer := &countingPeer{ReplicaPeer: leader}
+	follower := newRB(1, func(instance string) (ReplicaPeer, error) {
+		if instance != leader.Instance() {
+			return nil, fmt.Errorf("kafka: unknown broker %q", instance)
+		}
+		return peer, nil
+	})
+	if err := leader.apply(helix.Transition{Resource: "idle", Partition: 0, From: helix.StateStandby, To: helix.StateLeader}); err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.apply(helix.Transition{Resource: "idle", Partition: 0, From: helix.StateOffline, To: helix.StateStandby}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.Produce("idle", 0, NewMessageSet([]byte("only"))); err != nil {
+		t.Fatal(err)
+	}
+	ll, err := leader.Broker().log("idle", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := follower.Broker().log("idle", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "follower catch-up", 5*time.Second, func() bool { return fl.FlushedEnd() == ll.FlushedEnd() })
+
+	base := peer.fetches.Load()
+	time.Sleep(500 * time.Millisecond)
+	if n := peer.fetches.Load() - base; n > 20 {
+		t.Fatalf("caught-up follower issued %d replica fetches in 500ms — busy-spinning", n)
 	}
 }

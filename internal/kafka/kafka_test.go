@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"datainfra/internal/zk"
 )
 
 func TestMessageSetEncodeDecode(t *testing.T) {
@@ -674,4 +676,37 @@ func TestStreamTailBackoffNoBusySpin(t *testing.T) {
 		t.Fatal("backoff stream never woke after produce")
 	}
 	t.Logf("idle %v cost %d fetches on the backoff fallback", idle, cb.fetches.Load())
+}
+
+func TestBrokerRegistersInZK(t *testing.T) {
+	srv := newTestBroker(t)
+	coord := zk.NewServer()
+	if err := srv.Register(coord, "127.0.0.1:9092"); err != nil {
+		t.Fatal(err)
+	}
+	sess := coord.NewSession()
+	defer sess.Close()
+	data, _, err := sess.Get("/brokers/ids/0")
+	if err != nil || string(data) != "127.0.0.1:9092" {
+		t.Fatalf("broker registration = (%q, %v)", data, err)
+	}
+	// producing to a topic announces it
+	if _, err := srv.Produce("announced", 0, NewMessageSet([]byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		if data, _, err := sess.Get("/brokers/topics/announced/0"); err == nil && string(data) == "2" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("topic never announced in zk")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// closing the broker removes the ephemeral
+	srv.Close()
+	if ok, _ := sess.Exists("/brokers/ids/0"); ok {
+		t.Fatal("broker registration survived close")
+	}
 }

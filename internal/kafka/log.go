@@ -33,6 +33,13 @@ type Log struct {
 	// see messages the ISR has not fully acked (which a failover could lose).
 	limit int64
 
+	// hwFile is hw.checkpoint, held open from the first persist of a limit
+	// until SetLimit(-1) or Close; hwBuf is the fixed-width record written
+	// into it (see persistLimitLocked).
+	hwPath string
+	hwFile *os.File
+	hwBuf  [hwCheckpointWidth]byte
+
 	// watch is closed and replaced whenever the consumer-visible end (or the
 	// durable end, for replica fetches) advances, waking long-poll fetches
 	// parked in WaitForData. Visibility — not the append — is the wake point,
@@ -72,6 +79,12 @@ func segmentName(base int64) string { return fmt.Sprintf("%020d.kafka", base) }
 // old epoch survives into the new one.
 const hwCheckpointName = "hw.checkpoint"
 
+// hwCheckpointWidth is the checkpoint record: 20 zero-padded decimal digits
+// (any non-negative int64) and a newline. A fixed width lets each advance
+// overwrite the record in place, and a lower value never leaves stale
+// trailing digits behind.
+const hwCheckpointWidth = 21
+
 // OpenLog opens (creating if needed) the partition log in dir, recovering
 // the active segment by truncating any torn tail.
 func OpenLog(dir string, cfg LogConfig) (*Log, error) {
@@ -79,7 +92,8 @@ func OpenLog(dir string, cfg LogConfig) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, cfg: cfg, lastFlush: time.Now(), limit: -1, watch: make(chan struct{})}
+	l := &Log{dir: dir, cfg: cfg, lastFlush: time.Now(), limit: -1, watch: make(chan struct{}),
+		hwPath: filepath.Join(dir, hwCheckpointName)}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -135,11 +149,16 @@ func OpenLog(dir string, cfg LogConfig) (*Log, error) {
 	// replica that restarts mid-epoch still knows where acked data ends and
 	// TruncateTo(Latest()) cuts back to it. A missing or unparseable
 	// checkpoint leaves the limit off, matching the pre-replication behavior.
-	if data, err := os.ReadFile(filepath.Join(dir, hwCheckpointName)); err == nil {
+	// ParseInt accepts the zero padding, and also the unpadded record (no
+	// newline) that earlier versions wrote.
+	if data, err := os.ReadFile(l.hwPath); err == nil {
 		if hw, perr := strconv.ParseInt(strings.TrimSpace(string(data)), 10, 64); perr == nil && hw >= 0 {
 			l.limit = hw
 		}
 	}
+	// Earlier versions wrote the checkpoint to a temp file and renamed it; a
+	// crash between the two left this behind.
+	_ = os.Remove(l.hwPath + ".tmp")
 	return l, nil
 }
 
@@ -236,22 +255,39 @@ func (l *Log) SetLimit(limit int64) {
 	}
 }
 
-// persistLimitLocked checkpoints the visibility limit. Written to a temp file
-// and renamed so a crash leaves either the old or the new value, never a torn
-// one. A stale (low) checkpoint is safe — the replica truncates further back
-// and refetches from the leader — so write failures are deliberately ignored
-// and the file is not fsynced.
+// persistLimitLocked checkpoints the visibility limit with one positioned
+// write of the fixed-width record over the previous one. The file stays open
+// between advances, so an advance costs a single pwrite: no create, rename or
+// close. A process kill cannot tear a single pwrite, so the file holds either
+// the old or the new value. A stale (low) checkpoint is safe — the replica
+// truncates further back and refetches from the leader — so write failures
+// are deliberately ignored and the file is not fsynced.
 func (l *Log) persistLimitLocked() {
-	p := filepath.Join(l.dir, hwCheckpointName)
 	if l.limit < 0 {
-		_ = os.Remove(p)
+		l.closeCheckpointLocked()
+		_ = os.Remove(l.hwPath)
 		return
 	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatInt(l.limit, 10)), 0o644); err != nil {
-		return
+	if l.hwFile == nil {
+		f, err := os.OpenFile(l.hwPath, os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			return
+		}
+		l.hwFile = f
 	}
-	_ = os.Rename(tmp, p)
+	buf := &l.hwBuf
+	buf[len(buf)-1] = '\n'
+	for i, v := len(buf)-2, l.limit; i >= 0; i, v = i-1, v/10 {
+		buf[i] = byte('0' + v%10)
+	}
+	_, _ = l.hwFile.WriteAt(buf[:], 0)
+}
+
+func (l *Log) closeCheckpointLocked() {
+	if l.hwFile != nil {
+		_ = l.hwFile.Close()
+		l.hwFile = nil
+	}
 }
 
 // FlushedEnd returns the offset one past the last durable byte, ignoring the
@@ -522,7 +558,7 @@ func (l *Log) Segments() int {
 	return len(l.segments)
 }
 
-// Close flushes and closes all segment files.
+// Close flushes and closes all segment files and the checkpoint.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -530,6 +566,7 @@ func (l *Log) Close() error {
 	if err := l.flushLocked(); err != nil {
 		firstErr = err
 	}
+	l.closeCheckpointLocked()
 	for _, seg := range l.segments {
 		if err := seg.f.Close(); err != nil && firstErr == nil {
 			firstErr = err

@@ -31,8 +31,9 @@ var (
 		"partition")
 	mReplicaMessages = metrics.RegisterCounter("kafka_replica_messages_total",
 		"messages republished by the intra-cluster replica fetcher")
-	mReplicaLag = metrics.RegisterGauge("kafka_replica_lag_bytes",
-		"byte distance between the leader log head and the replica fetcher")
+	mReplicaLag = metrics.RegisterGaugeVec("kafka_replica_lag_bytes",
+		"durable log end minus the slowest in-sync follower's fetch position, on partitions led by this process",
+		"partition")
 	mISRSize = metrics.RegisterGaugeVec("kafka_isr_size_nodes",
 		"replicas currently in sync on partitions led by this process",
 		"partition")
