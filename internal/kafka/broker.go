@@ -357,11 +357,10 @@ func (b *Broker) CleanNow(now time.Time) int {
 
 // --- TCP transport -----------------------------------------------------------
 //
-// Two framings share the listen port. Legacy (lock-step): u32 len | u8 op |
-// body, one request in flight per connection. Multiplexed: connections that
-// open with the internal/rpc magic carry the same op|body payloads inside
-// correlation-id frames, so many requests share one connection and responses
-// may return out of order. Ops (identical under both framings):
+// The listen port speaks the internal/rpc mux only: a connection opens with
+// the rpc magic and then carries op|body payloads inside correlation-id
+// frames, so many requests share one connection and responses may return out
+// of order. Ops:
 //   1 produce:    topicLen u16 topic | partition u32 | set bytes  -> i64 offset
 //   2 fetch:      topicLen u16 topic | partition u32 | offset i64 | max u32
 //                 -> raw chunk (streamed from the segment file)
@@ -425,62 +424,11 @@ func (b *Broker) Listen(addr string) (string, error) {
 					delete(b.conns, conn)
 					b.mu.Unlock()
 				}()
-				// Route by preamble: mux connections announce themselves
-				// with the rpc magic, everything else gets the legacy loop.
-				nc, muxed, err := rpc.Sniff(conn)
-				if err != nil {
-					return
-				}
-				if muxed {
-					_ = rpc.ServeConn(nc, b.handle, rpc.ServeOptions{})
-					return
-				}
-				b.serveConn(nc)
+				_ = rpc.ServeConn(conn, b.handle, rpc.ServeOptions{})
 			}()
 		}
 	}()
 	return ln.Addr().String(), nil
-}
-
-func (b *Broker) serveConn(conn net.Conn) {
-	hdr := make([]byte, 4)
-	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
-			return
-		}
-		n := binary.BigEndian.Uint32(hdr)
-		if n > 64<<20 {
-			return
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return
-		}
-		if err := writeLegacyResponse(conn, b.handle(body)); err != nil {
-			return
-		}
-	}
-}
-
-// writeLegacyResponse frames one handler result for the lock-step protocol:
-// u32 length | payload | streamed body.
-func writeLegacyResponse(conn net.Conn, resp rpc.Response) error {
-	hdr := make([]byte, 4)
-	binary.BigEndian.PutUint32(hdr, uint32(int64(len(resp.Payload))+resp.StreamLen))
-	if _, err := conn.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := conn.Write(resp.Payload); err != nil {
-		return err
-	}
-	if resp.Stream != nil && resp.StreamLen > 0 {
-		copied, err := io.Copy(conn, io.LimitReader(resp.Stream, resp.StreamLen))
-		if err == nil && copied != resp.StreamLen {
-			err = fmt.Errorf("kafka: streamed response short: %d of %d bytes", copied, resp.StreamLen)
-		}
-		return err
-	}
-	return nil
 }
 
 func respErr(err error) rpc.Response {
@@ -491,12 +439,10 @@ func respOK(payload []byte) rpc.Response {
 	return rpc.Response{Payload: append([]byte{0}, payload...)}
 }
 
-// handle serves one op|body request payload, shared by the legacy lock-step
-// loop and the multiplexed transport (where it runs on the per-connection
-// worker pool, so it must be — and is — safe for concurrent use). The first
-// response byte is the status flag; fetches return the chunk as a stream
-// straight from the segment file (the §V.B sendfile-style path under either
-// framing).
+// handle serves one op|body request payload. It runs on the mux's
+// per-connection worker pool, so it must be — and is — safe for concurrent
+// use. The first response byte is the status flag; fetches return the chunk
+// as a stream straight from the segment file (the §V.B sendfile-style path).
 func (b *Broker) handle(body []byte) rpc.Response {
 	if len(body) < 1 {
 		return respErr(fmt.Errorf("empty request"))

@@ -1,10 +1,9 @@
 package kafka
 
-// Mux-versus-pool throughput benchmarks for the broker wire protocol. Each
-// op is one produce plus one fetch — the dominant small request/response
-// traffic of §V. As in the voldemort benchmarks, the headline comparison is
-// mux at 16 callers (one shared pipelined connection) against the same
-// callers serialized on one lock-step connection.
+// Mux throughput benchmarks for the broker wire protocol. Each op is one
+// produce plus one fetch — the dominant small request/response traffic of
+// §V — issued by 1, 4 or 16 callers sharing one pipelined connection, on
+// loopback and behind a simulated 1 ms RTT link.
 
 import (
 	"fmt"
@@ -93,26 +92,15 @@ func BenchmarkRemoteBrokerProduceFetchParallel(b *testing.B) {
 	// 500µs each way = 1ms RTT, a realistic cross-rack order of magnitude.
 	delayed := startDelayProxy(b, addr, 500*time.Microsecond)
 
-	transports := []struct {
-		name string
-		dial func() *RemoteBroker
-		sem  int // >0 caps client-side in-flight requests (lock-step conns)
-	}{
-		{name: "mux1conn", dial: func() *RemoteBroker { return DialBroker(addr, 2*time.Second) }},
-		{name: "lockstep1conn", dial: func() *RemoteBroker { return DialBrokerPooled(addr, 2*time.Second) }, sem: 1},
-		{name: "pool", dial: func() *RemoteBroker { return DialBrokerPooled(addr, 2*time.Second) }},
-		{name: "mux1conn-rtt1ms", dial: func() *RemoteBroker { return DialBroker(delayed, 2*time.Second) }},
-		{name: "lockstep1conn-rtt1ms", dial: func() *RemoteBroker { return DialBrokerPooled(delayed, 2*time.Second) }, sem: 1},
+	transports := []struct{ name, addr string }{
+		{name: "mux1conn", addr: addr},
+		{name: "mux1conn-rtt1ms", addr: delayed},
 	}
 	for _, tr := range transports {
 		for _, callers := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/callers=%d", tr.name, callers), func(b *testing.B) {
-				rb := tr.dial()
+				rb := DialBroker(tr.addr, 2*time.Second)
 				defer rb.Close()
-				var sem chan struct{}
-				if tr.sem > 0 {
-					sem = make(chan struct{}, tr.sem)
-				}
 				var wg sync.WaitGroup
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -125,23 +113,12 @@ func BenchmarkRemoteBrokerProduceFetchParallel(b *testing.B) {
 					go func(n int) {
 						defer wg.Done()
 						for i := 0; i < n; i++ {
-							if sem != nil {
-								sem <- struct{}{}
-							}
-							_, perr := rb.Produce("bench", 0, set)
-							var ferr error
-							if perr == nil {
-								_, ferr = rb.Fetch("bench", 0, 0, 256)
-							}
-							if sem != nil {
-								<-sem
-							}
-							if perr != nil {
-								b.Error(perr)
+							if _, err := rb.Produce("bench", 0, set); err != nil {
+								b.Error(err)
 								return
 							}
-							if ferr != nil {
-								b.Error(ferr)
+							if _, err := rb.Fetch("bench", 0, 0, 256); err != nil {
+								b.Error(err)
 								return
 							}
 						}

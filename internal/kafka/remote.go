@@ -5,66 +5,38 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"strconv"
-	"sync"
+	"strings"
 	"time"
 
 	"datainfra/internal/resilience"
 	"datainfra/internal/rpc"
 )
 
-// RemoteBroker is a BrokerClient over the TCP protocol. By default every
-// request shares one multiplexed connection (internal/rpc) with many
-// requests in flight, correlated by id — including long-poll fetches, which
-// park server-side without blocking the other requests on the connection.
-// The legacy one-request-per-connection pool survives behind
-// DialBrokerPooled for wire tests and mux-versus-pool benchmarks. Transport
-// failures (dead connections, broker restarts, timeouts) are retried through
-// the resilience layer with exponential backoff and full jitter, behind a
+// RemoteBroker is a BrokerClient over the TCP protocol. Every request shares
+// one multiplexed connection (internal/rpc) with many requests in flight,
+// correlated by id — including long-poll fetches, which park server-side
+// without blocking the other requests on the connection. Transport failures
+// (dead connections, broker restarts, timeouts) are retried through the
+// resilience layer with exponential backoff and full jitter, behind a
 // circuit breaker that fails fast while the broker stays unreachable — the
 // §V story of producers and consumers riding out broker reconnects.
 // Application-level responses (error frames such as offset-out-of-range) are
 // never retried.
 type RemoteBroker struct {
-	addr    string
 	timeout time.Duration
 	retry   resilience.Policy
 	breaker *resilience.Breaker
-
-	mux    *rpc.Client // nil in pooled (legacy) mode
-	pooled bool
-
-	mu     sync.Mutex
-	conns  []net.Conn
-	closed bool
+	mux     *rpc.Client
 }
 
 // DialBroker connects lazily to the broker at addr, using a single
 // multiplexed connection shared by all concurrent requests.
 func DialBroker(addr string, timeout time.Duration) *RemoteBroker {
-	r := newRemoteBroker(addr, timeout)
-	r.mux = rpc.NewClient(addr, r.timeout)
-	return r
-}
-
-// DialBrokerPooled connects using the legacy lock-step protocol over a small
-// connection pool — one request in flight per connection. Kept for
-// wire-compatibility tests and as the baseline the multiplexed transport is
-// benchmarked against.
-func DialBrokerPooled(addr string, timeout time.Duration) *RemoteBroker {
-	r := newRemoteBroker(addr, timeout)
-	r.pooled = true
-	return r
-}
-
-func newRemoteBroker(addr string, timeout time.Duration) *RemoteBroker {
 	if timeout == 0 {
 		timeout = 5 * time.Second
 	}
 	return &RemoteBroker{
-		addr:    addr,
 		timeout: timeout,
 		retry: resilience.Policy{
 			MaxAttempts:    4,
@@ -75,6 +47,7 @@ func newRemoteBroker(addr string, timeout time.Duration) *RemoteBroker {
 			FailureThreshold: 8,
 			OpenTimeout:      250 * time.Millisecond,
 		}),
+		mux: rpc.NewClient(addr, timeout),
 	}
 }
 
@@ -82,40 +55,10 @@ func newRemoteBroker(addr string, timeout time.Duration) *RemoteBroker {
 // clients). It must be called before the first request.
 func (r *RemoteBroker) SetRetryPolicy(p resilience.Policy) { r.retry = p }
 
-func (r *RemoteBroker) getConn() (net.Conn, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, errors.New("kafka: remote broker closed")
-	}
-	if n := len(r.conns); n > 0 {
-		c := r.conns[n-1]
-		r.conns = r.conns[:n-1]
-		r.mu.Unlock()
-		return c, nil
-	}
-	r.mu.Unlock()
-	return net.DialTimeout("tcp", r.addr, r.timeout)
-}
-
-// maxIdleConns bounds the idle connection pool: bursts may dial beyond it,
-// but only this many connections are retained on return — the overflow is
-// closed so bursty producers cannot pin fds forever.
-const maxIdleConns = 4
-
-func (r *RemoteBroker) putConn(c net.Conn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed || len(r.conns) >= maxIdleConns {
-		c.Close()
-		return
-	}
-	r.conns = append(r.conns, c)
-}
-
-// call sends one framed request and reads the framed response, retrying
-// transport failures (each retry on a fresh connection: callOnce discards
-// the connection on any error).
+// call sends one request and reads its response, retrying transport
+// failures. A mux timeout abandons the request slot (the connection survives
+// for other in-flight requests) and surfaces as a transient net.Error, so it
+// is retried like a dead connection.
 func (r *RemoteBroker) call(req []byte) ([]byte, error) {
 	return r.callTimeout(req, r.timeout)
 }
@@ -127,7 +70,10 @@ func (r *RemoteBroker) callTimeout(req []byte, timeout time.Duration) ([]byte, e
 		if err := r.breaker.Allow(); err != nil {
 			return nil, err
 		}
-		body, err := r.callOnce(req, timeout)
+		body, err := r.mux.Call(req, timeout)
+		if err == nil {
+			body, err = parseStatus(body)
+		}
 		if err != nil && resilience.IsTransient(err) {
 			r.breaker.Record(err)
 		} else {
@@ -162,80 +108,13 @@ func parseStatus(body []byte) ([]byte, error) {
 	if body[0] != 0 {
 		msg := string(body[1:])
 		for _, w := range wireErrors {
-			if contains(msg, w.sub) {
+			if strings.Contains(msg, w.sub) {
 				return nil, fmt.Errorf("%w: %s", w.err, msg)
 			}
 		}
 		return nil, errors.New("kafka: " + msg)
 	}
 	return body[1:], nil
-}
-
-// callOnce performs one request/response exchange: over the shared
-// multiplexed connection by default, or on a dedicated pooled connection in
-// legacy mode. Mux timeouts abandon the request slot (the connection
-// survives for other in-flight requests) and surface as transient
-// net.Errors, so the retry loop treats them exactly like the legacy
-// deadline kill.
-func (r *RemoteBroker) callOnce(req []byte, timeout time.Duration) ([]byte, error) {
-	if !r.pooled {
-		body, err := r.mux.Call(req, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return parseStatus(body)
-	}
-	conn, err := r.getConn()
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("kafka: set deadline: %w", err)
-	}
-	hdr := make([]byte, 4)
-	binary.BigEndian.PutUint32(hdr, uint32(len(req)))
-	if _, err := conn.Write(hdr); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := conn.Write(req); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := io.ReadFull(conn, hdr); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n < 1 || n > 64<<20 {
-		conn.Close()
-		return nil, fmt.Errorf("kafka: bad response frame %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("kafka: clear deadline: %w", err)
-	}
-	r.putConn(conn)
-	return parseStatus(body)
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && searchStr(s, sub)
-}
-
-func searchStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func reqHeader(op byte, topic string) []byte {
@@ -334,16 +213,7 @@ func (r *RemoteBroker) Partitions(topic string) (int, error) {
 	return strconv.Atoi(string(resp))
 }
 
-// Close drops the multiplexed connection and any pooled connections.
+// Close drops the multiplexed connection; later requests fail.
 func (r *RemoteBroker) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	for _, c := range r.conns {
-		c.Close()
-	}
-	r.conns = nil
-	if r.mux != nil {
-		r.mux.Close()
-	}
+	r.mux.Close()
 }

@@ -45,9 +45,8 @@ type Conn struct {
 	lastRecv atomic.Int64 // UnixNano of the last frame (or byte of progress) read
 }
 
-// NewConn starts the mux over nc. The caller must already have sent (client
-// side) the Magic preamble; tests may skip it when the peer is a raw
-// ServeConn.
+// NewConn starts the mux over nc. The caller must already have sent the
+// Magic preamble (Dial does).
 func NewConn(nc net.Conn) *Conn {
 	c := &Conn{
 		nc:      nc,
@@ -199,7 +198,7 @@ func (c *Conn) forget(id uint64) bool {
 // Call sends one request payload and blocks for its correlated response. A
 // timeout abandons the slot without poisoning the connection — unless the
 // connection received nothing at all for the whole wait, in which case it is
-// presumed stalled and torn down (the legacy per-connection deadline's job).
+// presumed stalled and torn down, as a per-connection read deadline would.
 // timeout <= 0 waits until the response or the connection's death.
 func (c *Conn) Call(payload []byte, timeout time.Duration) ([]byte, error) {
 	ch := make(chan result, 1)

@@ -3,19 +3,18 @@
 // are dominated by small RPCs (quorum reads/writes in §II, produce/fetch in
 // §V), and real Kafka's wire protocol multiplexes many in-flight requests
 // per connection via correlation IDs; this package brings the same shape to
-// the reproduction.
+// the reproduction, and it is the only framing either server speaks.
 //
-// Wire format: a multiplexed connection opens with a 4-byte magic so servers
-// can keep serving the legacy lock-step framing on the same port (legacy
-// frames begin with a u32 length below the 64 MB cap, which can never equal
-// the magic). After the magic, both directions carry frames of
+// Wire format: a connection opens with a 4-byte magic, a handshake that
+// ServeConn checks before reading any frame; a peer that opens with anything
+// else is dropped without a reply. Then both directions carry frames of
 //
 //	u32 length | u64 correlation id | payload
 //
 // where length counts the correlation id plus the payload. Responses may
 // arrive in any order; the correlation id routes each one back to its
-// caller. The payload is opaque to this package — Voldemort and Kafka keep
-// their existing request/response encodings inside it.
+// caller. The payload is opaque to this package — Voldemort and Kafka carry
+// their own request/response encodings inside it.
 //
 // Client side, a Conn runs one writer goroutine (coalescing queued frames
 // into single writes) and one reader goroutine (demultiplexing responses to
@@ -35,12 +34,10 @@ import (
 	"net"
 )
 
-// Magic is the 4-byte preamble a multiplexed client sends after dialing.
-// Legacy frames start with a u32 length capped at 64 MB (high byte < 0x04),
-// so these bytes can never begin a legacy frame.
+// Magic is the 4-byte preamble a client sends after dialing.
 var Magic = [4]byte{'R', 'P', 'X', '1'}
 
-// MaxFrame caps a frame's payload, mirroring the legacy protocols' sanity cap.
+// MaxFrame caps a frame's payload.
 const MaxFrame = 64 << 20
 
 // frame header: u32 length | u64 correlation id.
@@ -51,6 +48,9 @@ var (
 	ErrFrameTooLarge = errors.New("rpc: frame exceeds max size")
 	// ErrClosed is returned for calls on an explicitly closed client.
 	ErrClosed = errors.New("rpc: client closed")
+	// errBadMagic is returned by ServeConn when the peer opens with
+	// anything but Magic.
+	errBadMagic = errors.New("rpc: connection did not open with the mux magic")
 )
 
 // appendFrame appends one wire frame for (id, payload) to dst.
@@ -73,39 +73,9 @@ func readFrameHeader(r io.Reader, hdr *[headerLen]byte) (id uint64, n int, err e
 	return binary.BigEndian.Uint64(hdr[4:12]), int(length - 8), nil
 }
 
-// Sniff reports whether conn opens with the mux magic, consuming it if so.
-// For legacy connections the peeked bytes are replayed, so the caller can
-// hand the returned conn to the legacy frame loop unchanged. Connections
-// that close before sending 4 bytes surface the read error.
-func Sniff(conn net.Conn) (net.Conn, bool, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(conn, b[:]); err != nil {
-		return conn, false, err
-	}
-	if b == Magic {
-		return conn, true, nil
-	}
-	return &prefixedConn{Conn: conn, pre: b[:]}, false, nil
-}
-
-// prefixedConn replays sniffed bytes before reading from the underlying conn.
-type prefixedConn struct {
-	net.Conn
-	pre []byte
-}
-
-func (p *prefixedConn) Read(b []byte) (int, error) {
-	if len(p.pre) > 0 {
-		n := copy(b, p.pre)
-		p.pre = p.pre[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
-}
-
 // timeoutError is the per-request timeout failure. It implements net.Error
 // with Timeout() == true so resilience.IsTransient classifies it retryable,
-// matching the legacy deadline-exceeded behaviour.
+// like a socket deadline.
 type timeoutError struct{}
 
 func (timeoutError) Error() string   { return "rpc: call timed out" }

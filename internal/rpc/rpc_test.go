@@ -2,9 +2,8 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -13,8 +12,8 @@ import (
 	"time"
 )
 
-// startEchoServer serves h on a fresh listener, sniffing the magic like the
-// production servers do, and returns its address.
+// startServer serves h on a fresh listener, handing every accepted conn to
+// ServeConn like the production servers do, and returns its address.
 func startServer(t *testing.T, h Handler, opts ServeOptions) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -30,11 +29,7 @@ func startServer(t *testing.T, h Handler, opts ServeOptions) string {
 			}
 			go func(nc net.Conn) {
 				defer nc.Close()
-				nc2, muxed, err := Sniff(nc)
-				if err != nil || !muxed {
-					return
-				}
-				_ = ServeConn(nc2, h, opts)
+				_ = ServeConn(nc, h, opts)
 			}(nc)
 		}
 	}()
@@ -207,12 +202,7 @@ func TestMuxConnKillFailsAllInflight(t *testing.T) {
 			conns.list = append(conns.list, nc)
 			conns.Unlock()
 			go func(nc net.Conn) {
-				nc2, muxed, err := Sniff(nc)
-				if err != nil || !muxed {
-					nc.Close()
-					return
-				}
-				_ = ServeConn(nc2, h, ServeOptions{})
+				_ = ServeConn(nc, h, ServeOptions{})
 				nc.Close()
 			}(nc)
 		}
@@ -343,30 +333,33 @@ func TestClientRedialsAfterConnDeath(t *testing.T) {
 	}
 }
 
-// TestSniffLegacyPassthrough proves non-mux bytes are replayed intact, so
-// legacy clients coexist on the same port.
-func TestSniffLegacyPassthrough(t *testing.T) {
+// TestServeConnRejectsNonMuxPreamble proves the magic is a handshake: a peer
+// opening with anything else (here a lock-step length-prefixed frame) gets
+// an error from ServeConn and not a byte of reply, while a client that sends
+// the magic is served on the same listener.
+func TestServeConnRejectsNonMuxPreamble(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
-	defer c2.Close()
-	legacy := []byte{0x00, 0x00, 0x00, 0x03, 'a', 'b', 'c'}
-	go func() { _, _ = c1.Write(legacy) }()
-	nc, muxed, err := Sniff(c2)
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(c2, echoHandler, ServeOptions{}) }()
+	// A pipe write blocks until fully read, and ServeConn reads only the
+	// preamble, so the write runs aside and fails once c2 closes.
+	go func() { _, _ = c1.Write([]byte{0x00, 0x00, 0x00, 0x03, 'a', 'b', 'c'}) }()
+	if err := <-served; !errors.Is(err, errBadMagic) {
+		t.Fatalf("ServeConn = %v, want errBadMagic", err)
+	}
+	c2.Close()
+	if n, err := c1.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("non-mux peer got a reply: (%d, %v)", n, err)
+	}
+
+	addr := startServer(t, echoHandler, ServeOptions{})
+	conn, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if muxed {
-		t.Fatal("legacy frame misdetected as mux")
-	}
-	got := make([]byte, len(legacy))
-	if _, err := io.ReadFull(nc, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, legacy) {
-		t.Fatalf("replayed bytes = %x, want %x", got, legacy)
-	}
-	var n uint32 = binary.BigEndian.Uint32(got[:4])
-	if n != 3 {
-		t.Fatalf("length prefix corrupted: %d", n)
+	defer conn.Close()
+	if resp, err := conn.Call([]byte("hi"), time.Second); err != nil || string(resp) != "hi" {
+		t.Fatalf("mux call = (%q, %v)", resp, err)
 	}
 }

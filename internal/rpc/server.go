@@ -59,11 +59,19 @@ type outResp struct {
 }
 
 // ServeConn runs the server half of the mux over nc until the peer
-// disconnects: the calling goroutine reads frames continuously, a bounded
-// worker pool dispatches them to h, and one writer goroutine serializes the
-// possibly out-of-order responses. The Magic preamble must already have
-// been consumed (see Sniff). ServeConn does not close nc.
+// disconnects: it first checks the Magic preamble (any other opening returns
+// an error before a byte is written back), then the calling goroutine reads
+// frames continuously, a bounded worker pool dispatches them to h, and one
+// writer goroutine serializes the possibly out-of-order responses. ServeConn
+// does not close nc.
 func ServeConn(nc net.Conn, h Handler, opts ServeOptions) error {
+	var magic [len(Magic)]byte
+	if _, err := io.ReadFull(nc, magic[:]); err != nil {
+		return err
+	}
+	if magic != Magic {
+		return errBadMagic
+	}
 	opts = opts.withDefaults()
 	reqCh := make(chan job, opts.Queue)
 	respCh := make(chan outResp, opts.Queue)

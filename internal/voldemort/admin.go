@@ -1,13 +1,15 @@
 package voldemort
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"strconv"
 	"time"
 
 	"datainfra/internal/cluster"
+	"datainfra/internal/resilience"
+	"datainfra/internal/rpc"
 	"datainfra/internal/versioned"
 )
 
@@ -27,21 +29,19 @@ func NewAdmin(addr string, timeout time.Duration) *Admin {
 	return &Admin{addr: addr, timeout: timeout}
 }
 
+// call dials a fresh mux connection for one request and closes it after the
+// reply: admin operations are rare, so Admin keeps no connection state.
 func (a *Admin) call(req *request) (*response, error) {
-	conn, err := net.DialTimeout("tcp", a.addr, a.timeout)
+	conn, err := rpc.Dial(a.addr, a.timeout)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(a.timeout))
-	if err := writeFrame(conn, req.encode()); err != nil {
-		return nil, err
-	}
-	frame, err := readFrame(conn)
+	payload, err := conn.Call(req.encode(), a.timeout)
 	if err != nil {
 		return nil, err
 	}
-	return decodeResponse(frame)
+	return decodeResponse(payload)
 }
 
 func (a *Admin) simple(req *request) error {
@@ -116,46 +116,59 @@ func (a *Admin) RollbackReadOnly(store string) error {
 }
 
 // FetchPartitions streams every entry of store whose primary partition is in
-// partitions, invoking fn per entry. Used by rebalancing stealers.
+// partitions, invoking fn per entry. Used by rebalancing stealers. Entries
+// arrive in pages in ascending key order; each page request names the
+// immediate successor of the last key received (that key plus a zero byte)
+// as its start, so the server keeps no cursor and a page lost to a timeout
+// or a dropped connection is simply requested again.
 func (a *Admin) FetchPartitions(store string, partitions []int, fn func(key []byte, vs []*versioned.Versioned) error) error {
-	conn, err := net.DialTimeout("tcp", a.addr, a.timeout)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
 	body, err := json.Marshal(partitions)
 	if err != nil {
 		return err
 	}
-	req := &request{Op: opFetchPartitions, Store: store, Body: body}
-	if err := writeFrame(conn, req.encode()); err != nil {
-		return err
-	}
+	var start []byte
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(a.timeout))
-		frame, err := readFrame(conn)
+		req := &request{Op: opFetchPartitions, Store: store, Key: start, Body: body}
+		resp, err := resilience.RetryValue(context.TODO(), resilience.Policy{}, func() (*response, error) {
+			return a.call(req)
+		})
 		if err != nil {
 			return err
 		}
-		if len(frame) == 0 {
-			return nil // terminator
+		if err := resp.err(); err != nil {
+			return err
 		}
-		r := rbuf{b: frame}
-		key, err := r.bytes32()
+		r := rbuf{b: resp.Payload}
+		more, err := r.u8()
 		if err != nil {
 			return err
 		}
-		data, err := r.bytes32()
-		if err != nil {
-			return err
+		var last []byte
+		for len(r.b) > 0 {
+			key, err := r.bytes32()
+			if err != nil {
+				return err
+			}
+			data, err := r.bytes32()
+			if err != nil {
+				return err
+			}
+			vs, err := decodeVersionSet(data)
+			if err != nil {
+				return err
+			}
+			if err := fn(key, vs); err != nil {
+				return err
+			}
+			last = key
 		}
-		vs, err := decodeVersionSet(data)
-		if err != nil {
-			return err
+		if more == 0 {
+			return nil
 		}
-		if err := fn(key, vs); err != nil {
-			return err
+		if last == nil {
+			return fmt.Errorf("voldemort: fetch-partitions page promised more but held no entries")
 		}
+		start = append(last[:len(last):len(last)], 0)
 	}
 }
 

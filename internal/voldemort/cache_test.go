@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"datainfra/internal/ring"
 	"datainfra/internal/storage"
@@ -217,10 +218,19 @@ func TestRoutedGetAllDeduplicatesKeys(t *testing.T) {
 	if err := c.Put([]byte("feed"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	var before int64
-	for _, cs := range counters {
-		before += cs.gets.Load()
+	total := func() (n int64) {
+		for _, cs := range counters {
+			n += cs.gets.Load()
+		}
+		return n
 	}
+	// The put's pre-read fans out to every replica but returns after R
+	// acks; let its stragglers land before taking the baseline, or one of
+	// them is counted against GetAll.
+	for deadline := time.Now().Add(2 * time.Second); total() < int64(rig.def.Replication) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	before := total()
 	// The same key 50 times must cost exactly one quorum read.
 	keys := make([][]byte, 50)
 	for i := range keys {
@@ -233,10 +243,7 @@ func TestRoutedGetAllDeduplicatesKeys(t *testing.T) {
 	if len(got) != 1 || len(got["feed"]) == 0 {
 		t.Fatalf("GetAll = %v", got)
 	}
-	var after int64
-	for _, cs := range counters {
-		after += cs.gets.Load()
-	}
+	after := total()
 	// One quorum read touches at most Replication backends (reads fan
 	// out to all replicas; R acks complete it, stragglers may still
 	// land). 50 duplicated keys must NOT multiply that.

@@ -1,11 +1,9 @@
 package voldemort
 
-// Mux-versus-pool throughput benchmarks for the socket transport. The
-// interesting row is mux at 16 callers: one shared multiplexed connection
-// carrying 16 concurrent requests, against the same 16 callers serialized on
-// one lock-step connection (how the old transport behaved at a fixed
-// connection count), and against the unconstrained pool (the old transport's
-// actual behavior: N callers cost N connections).
+// Mux throughput benchmarks for the socket transport: 1, 4 or 16 callers
+// sharing one multiplexed connection, on loopback and behind a simulated
+// 1 ms RTT link, where head-of-line blocking would dominate a transport
+// that did not pipeline.
 
 import (
 	"fmt"
@@ -21,9 +19,8 @@ import (
 // startDelayProxy fronts target with a fixed one-way latency in each
 // direction — a bandwidth-unconstrained link approximation. Chunks propagate
 // through a timestamped queue, so many frames in flight overlap their
-// propagation delay exactly as they would on a real link; a lock-step
-// protocol instead pays the full RTT per request. On loopback (where the
-// real RTT is pure CPU) this is what makes the pipelining win measurable.
+// propagation delay exactly as they would on a real link. On loopback (where
+// the real RTT is pure CPU) this is what makes pipelining measurable.
 func startDelayProxy(tb testing.TB, target string, oneWay time.Duration) string {
 	tb.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -90,26 +87,15 @@ func BenchmarkSocketStoreParallel(b *testing.B) {
 	// 500µs each way = 1ms RTT, a realistic cross-rack order of magnitude.
 	delayed := startDelayProxy(b, addr, 500*time.Microsecond)
 
-	transports := []struct {
-		name string
-		dial func() *SocketStore
-		sem  int // >0 caps client-side in-flight requests (lock-step conns)
-	}{
-		{name: "mux1conn", dial: func() *SocketStore { return DialStore("bench", addr, 2*time.Second) }},
-		{name: "lockstep1conn", dial: func() *SocketStore { return DialStorePooled("bench", addr, 2*time.Second) }, sem: 1},
-		{name: "pool", dial: func() *SocketStore { return DialStorePooled("bench", addr, 2*time.Second) }},
-		{name: "mux1conn-rtt1ms", dial: func() *SocketStore { return DialStore("bench", delayed, 2*time.Second) }},
-		{name: "lockstep1conn-rtt1ms", dial: func() *SocketStore { return DialStorePooled("bench", delayed, 2*time.Second) }, sem: 1},
+	transports := []struct{ name, addr string }{
+		{name: "mux1conn", addr: addr},
+		{name: "mux1conn-rtt1ms", addr: delayed},
 	}
 	for _, tr := range transports {
 		for _, callers := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("%s/callers=%d", tr.name, callers), func(b *testing.B) {
-				ss := tr.dial()
+				ss := DialStore("bench", tr.addr, 2*time.Second)
 				defer ss.Close()
-				var sem chan struct{}
-				if tr.sem > 0 {
-					sem = make(chan struct{}, tr.sem)
-				}
 				var wg sync.WaitGroup
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -122,14 +108,7 @@ func BenchmarkSocketStoreParallel(b *testing.B) {
 					go func(n int) {
 						defer wg.Done()
 						for i := 0; i < n; i++ {
-							if sem != nil {
-								sem <- struct{}{}
-							}
-							_, err := ss.Get([]byte("k"), nil)
-							if sem != nil {
-								<-sem
-							}
-							if err != nil {
+							if _, err := ss.Get([]byte("k"), nil); err != nil {
 								b.Error(err)
 								return
 							}

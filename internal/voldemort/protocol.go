@@ -4,13 +4,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"datainfra/internal/versioned"
 )
 
-// Wire protocol: every message is a length-prefixed frame (uint32 big-endian
-// length, then payload). Requests carry an opcode plus length-prefixed
+// Wire protocol: every request and response is the payload of one
+// internal/rpc mux frame. Requests carry an opcode plus length-prefixed
 // fields; responses carry a status byte, an error message and a payload.
 
 // Opcodes.
@@ -39,59 +38,6 @@ const (
 	statusUnknownStore     = 3
 	statusUnknownTransform = 4
 )
-
-const maxFrame = 64 << 20 // 64 MB sanity cap
-
-var errFrameTooLarge = errors.New("voldemort: frame exceeds max size")
-
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto reads one frame, reusing buf's backing array when it is
-// large enough — the steady-state request loop reads into one per-connection
-// buffer instead of allocating per frame. The returned slice aliases buf.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, errFrameTooLarge
-	}
-	var payload []byte
-	if uint32(cap(buf)) >= n {
-		payload = buf[:n]
-	} else {
-		payload = make([]byte, n)
-	}
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// appendFramed appends a length-prefixed frame holding the encoding produced
-// by fill to dst and returns it. Combined with a single Write this halves
-// the syscalls of the header-then-payload path and reuses dst's capacity.
-func appendFramed(dst []byte, fill func([]byte) []byte) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = fill(dst)
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(len(dst)-start-4))
-	return dst
-}
 
 // buffer helpers ------------------------------------------------------------
 
@@ -238,10 +184,6 @@ type response struct {
 	Status  byte
 	Message string
 	Payload []byte
-}
-
-func (p *response) encode() []byte {
-	return p.appendTo(nil)
 }
 
 func (p *response) appendTo(b []byte) []byte {

@@ -1,11 +1,13 @@
 package voldemort
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -208,73 +210,16 @@ func (s *Server) acceptLoop(ln net.Listener) {
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			// One port, two protocols: multiplexed connections announce
-			// themselves with the rpc magic; everything else (admin clients,
-			// partition-streaming fetches) speaks the legacy lock-step frames.
-			nc, muxed, err := rpc.Sniff(conn)
-			if err != nil {
-				return
-			}
-			if muxed {
-				_ = rpc.ServeConn(nc, s.handleMux, rpc.ServeOptions{})
-				return
-			}
-			s.serveConn(nc)
+			_ = rpc.ServeConn(conn, s.handleMux, rpc.ServeOptions{})
 		}()
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	// Per-connection frame buffers: dispatch fully consumes a request before
-	// the next frame is read, and a response is written before the buffer is
-	// reused, so steady-state request handling allocates no frame memory.
-	var rb, wb []byte
-	respond := func(resp *response) error {
-		wb = appendFramed(wb[:0], resp.appendTo)
-		_, err := conn.Write(wb)
-		return err
-	}
-	for {
-		frame, err := readFrameInto(conn, rb)
-		if err != nil {
-			return
-		}
-		rb = frame[:0]
-		req, err := decodeRequest(frame)
-		if err != nil {
-			_ = respond(&response{Status: statusError, Message: err.Error()})
-			return
-		}
-		mServerRequests.With(opName(req.Op)).Inc()
-		if req.Trace != "" {
-			s.traces.Add(req.Trace)
-			trace.Logf(req.Trace, "voldemort node %d: %s store=%s keylen=%d",
-				s.nodeID, opName(req.Op), req.Store, len(req.Key))
-		}
-		if req.Op == opFetchPartitions {
-			if err := s.streamPartitions(conn, req); err != nil {
-				return
-			}
-			continue
-		}
-		resp := s.dispatch(req)
-		if resp.Status != statusOK && req.Trace != "" {
-			// Surface the trace in the error string so the failing replica
-			// can be found from the client-side error alone.
-			resp.Message = "[trace=" + req.Trace + "] " + resp.Message
-		}
-		if err := respond(resp); err != nil {
-			return
-		}
-	}
-}
-
-// handleMux serves one request arriving over a multiplexed connection. The
-// mux payload is the legacy request encoding without its length prefix (the
-// rpc frame carries the length), and the response payload likewise. Handlers
-// run concurrently on the per-connection worker pool, so responses may be
-// written out of order — the correlation id routes each to its caller.
-// Partition streaming writes multiple raw frames and so stays legacy-only.
+// handleMux serves one request arriving over a multiplexed connection: the
+// payload is one encoded request, the response payload one encoded response
+// (the rpc frame carries the length). Handlers run concurrently on the
+// per-connection worker pool, so responses may be written out of order —
+// the correlation id routes each to its caller.
 func (s *Server) handleMux(payload []byte) rpc.Response {
 	req, err := decodeRequest(payload)
 	if err != nil {
@@ -286,14 +231,10 @@ func (s *Server) handleMux(payload []byte) rpc.Response {
 		trace.Logf(req.Trace, "voldemort node %d: %s store=%s keylen=%d",
 			s.nodeID, opName(req.Op), req.Store, len(req.Key))
 	}
-	var resp *response
-	if req.Op == opFetchPartitions {
-		resp = &response{Status: statusError,
-			Message: "fetch-partitions streams frames and requires a dedicated legacy connection"}
-	} else {
-		resp = s.dispatch(req)
-	}
+	resp := s.dispatch(req)
 	if resp.Status != statusOK && req.Trace != "" {
+		// Surface the trace in the error string so the failing replica
+		// can be found from the client-side error alone.
 		resp.Message = "[trace=" + req.Trace + "] " + resp.Message
 	}
 	return rpc.Response{Payload: resp.appendTo(nil)}
@@ -413,6 +354,10 @@ func (s *Server) dispatch(req *request) *response {
 		s.mu.Unlock()
 		return &response{Status: statusOK}
 
+	case opFetchPartitions:
+		payload, err := s.fetchPartitionPage(req)
+		return errToResponse(err, payload)
+
 	case opDeletePartition:
 		return errToResponse(s.deletePartition(req), nil)
 
@@ -461,16 +406,16 @@ func (s *Server) ReadOnlyEngine(store string) (*storage.ReadOnlyEngine, bool) {
 	return ro, ok
 }
 
-// streamPartitions streams every entry whose primary partition is in the
-// requested set: frames of (key, versionSet), terminated by an empty frame.
-func (s *Server) streamPartitions(conn net.Conn, req *request) error {
-	st, err := s.store(req.Store)
-	if err != nil {
-		return writeFrame(conn, nil) // empty terminator; client sees zero entries
-	}
+// fetchPageBudget caps the encoded entries in one fetch-partitions page, far
+// below rpc.MaxFrame so a page always fits one mux frame.
+const fetchPageBudget = 1 << 20
+
+// partitionFilter decodes a JSON partition list into a predicate matching
+// keys whose primary partition is in the list.
+func (s *Server) partitionFilter(body []byte) (func(key []byte) bool, error) {
 	var parts []int
-	if err := json.Unmarshal(req.Body, &parts); err != nil {
-		return writeFrame(conn, nil)
+	if err := json.Unmarshal(body, &parts); err != nil {
+		return nil, fmt.Errorf("voldemort: bad partition list: %w", err)
 	}
 	want := make(map[int]bool, len(parts))
 	for _, p := range parts {
@@ -479,33 +424,79 @@ func (s *Server) streamPartitions(conn net.Conn, req *request) error {
 	s.mu.RLock()
 	numPartitions := s.clus.NumPartitions
 	s.mu.RUnlock()
+	return func(key []byte) bool { return want[ring.Hash(key, numPartitions)] }, nil
+}
 
-	var streamErr error
+// fetchPartitionPage answers one page of a partition fetch (the rebalancing
+// copy phase): the entries whose primary partition is in the requested set
+// and whose key is >= req.Key, in ascending key order, up to fetchPageBudget
+// encoded bytes but never fewer than one entry. The payload is
+// u8 more | (bytes32 key, bytes32 versionSet)*, with more = 1 while entries
+// past the page remain. The server keeps no cursor: every page is one scan of
+// the store, so a page retried after a timeout or redial is answered alike.
+func (s *Server) fetchPartitionPage(req *request) ([]byte, error) {
+	st, err := s.store(req.Store)
+	if err != nil {
+		return nil, err
+	}
+	match, err := s.partitionFilter(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	type entry struct{ key, enc []byte }
+	var (
+		page  []entry
+		size  int
+		limit []byte // keys >= limit fall past this page; nil while all fit
+	)
+	// trim sorts the candidates and keeps the smallest keys that fit the
+	// budget, lowering limit to the first key dropped. Running it whenever
+	// the candidates reach twice the budget bounds the scan's memory.
+	trim := func() {
+		sort.Slice(page, func(i, j int) bool { return bytes.Compare(page[i].key, page[j].key) < 0 })
+		n := 0
+		for size = 0; n < len(page) && (n == 0 || size+len(page[n].enc) <= fetchPageBudget); n++ {
+			size += len(page[n].enc)
+		}
+		if n < len(page) {
+			limit = page[n].key
+			page = page[:n]
+		}
+	}
+	var encErr error
 	err = st.Engine().Entries(func(key []byte, vs []*versioned.Versioned) bool {
-		if !want[ring.Hash(key, numPartitions)] {
+		if bytes.Compare(key, req.Key) < 0 || (limit != nil && bytes.Compare(key, limit) >= 0) || !match(key) {
 			return true
 		}
 		data, err := encodeVersionSet(vs)
 		if err != nil {
-			streamErr = err
+			encErr = err
 			return false
 		}
 		var w wbuf
 		w.bytes32(key)
 		w.bytes32(data)
-		if err := writeFrame(conn, w.b); err != nil {
-			streamErr = err
-			return false
+		page = append(page, entry{key: w.b[4 : 4+len(key)], enc: w.b})
+		if size += len(w.b); size > 2*fetchPageBudget {
+			trim()
 		}
 		return true
 	})
-	if err != nil && streamErr == nil {
-		streamErr = err
+	if err == nil {
+		err = encErr
 	}
-	if streamErr != nil {
-		return streamErr
+	if err != nil {
+		return nil, err
 	}
-	return writeFrame(conn, nil)
+	trim()
+	out := make([]byte, 1, 1+size)
+	if limit != nil {
+		out[0] = 1
+	}
+	for _, e := range page {
+		out = append(out, e.enc...)
+	}
+	return out, nil
 }
 
 // deletePartition removes all keys with primary partitions in the given set
@@ -515,21 +506,13 @@ func (s *Server) deletePartition(req *request) error {
 	if err != nil {
 		return err
 	}
-	var parts []int
-	if err := json.Unmarshal(req.Body, &parts); err != nil {
+	match, err := s.partitionFilter(req.Body)
+	if err != nil {
 		return err
 	}
-	want := make(map[int]bool, len(parts))
-	for _, p := range parts {
-		want[p] = true
-	}
-	s.mu.RLock()
-	numPartitions := s.clus.NumPartitions
-	s.mu.RUnlock()
-
 	var keys [][]byte
 	if err := st.Engine().Entries(func(key []byte, _ []*versioned.Versioned) bool {
-		if want[ring.Hash(key, numPartitions)] {
+		if match(key) {
 			k := make([]byte, len(key))
 			copy(k, key)
 			keys = append(keys, k)

@@ -2,9 +2,6 @@ package voldemort
 
 import (
 	"context"
-	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,12 +13,10 @@ import (
 )
 
 // SocketStore is the client side of the binary protocol: a Store backed by a
-// remote node. It is what the routed store uses for client-side routing. By
-// default all requests share one multiplexed connection (internal/rpc):
-// many calls are in flight at once, correlated by id, so concurrency no
-// longer costs one TCP connection per outstanding request. The legacy
-// one-request-per-connection pool survives behind DialStorePooled for
-// protocol tests and mux-versus-pool benchmarks. Transport failures (a dead
+// remote node. It is what the routed store uses for client-side routing. All
+// requests share one multiplexed connection (internal/rpc): many calls are
+// in flight at once, correlated by id, so concurrency does not cost one TCP
+// connection per outstanding request. Transport failures (a dead
 // connection, a node restarting mid-request) are retried a bounded number of
 // times with jittered backoff before the error escapes to the routed store's
 // quorum accounting — so a blip costs a few milliseconds, not a failed
@@ -29,50 +24,27 @@ import (
 // detector to ban the node (§II.B).
 type SocketStore struct {
 	storeName string
-	addr      string
 	timeout   time.Duration
 	retry     resilience.Policy
 	trace     atomic.Value // string; stamped on every outgoing request
-
-	mux    *rpc.Client // nil in pooled (legacy) mode
-	pooled bool
-
-	mu     sync.Mutex
-	conns  []net.Conn
-	closed bool
+	mux       *rpc.Client
 }
 
 // DialStore returns a SocketStore for storeName on the node at addr, using
 // a single multiplexed connection shared by all concurrent calls.
 func DialStore(storeName, addr string, timeout time.Duration) *SocketStore {
-	s := newSocketStore(storeName, addr, timeout)
-	s.mux = rpc.NewClient(addr, s.timeout)
-	return s
-}
-
-// DialStorePooled returns a SocketStore speaking the legacy lock-step
-// protocol over a small connection pool — one request in flight per
-// connection. Kept for wire-compatibility tests and as the baseline the
-// multiplexed transport is benchmarked against.
-func DialStorePooled(storeName, addr string, timeout time.Duration) *SocketStore {
-	s := newSocketStore(storeName, addr, timeout)
-	s.pooled = true
-	return s
-}
-
-func newSocketStore(storeName, addr string, timeout time.Duration) *SocketStore {
 	if timeout == 0 {
 		timeout = 2 * time.Second
 	}
 	return &SocketStore{
 		storeName: storeName,
-		addr:      addr,
 		timeout:   timeout,
 		retry: resilience.Policy{
 			MaxAttempts:    3,
 			InitialBackoff: 2 * time.Millisecond,
 			MaxBackoff:     50 * time.Millisecond,
 		},
+		mux: rpc.NewClient(addr, timeout),
 	}
 }
 
@@ -94,105 +66,25 @@ func (s *SocketStore) Trace() string {
 // Name returns the store name.
 func (s *SocketStore) Name() string { return s.storeName }
 
-func (s *SocketStore) getConn() (net.Conn, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("voldemort: socket store closed")
-	}
-	if n := len(s.conns); n > 0 {
-		c := s.conns[n-1]
-		s.conns = s.conns[:n-1]
-		s.mu.Unlock()
-		return c, nil
-	}
-	s.mu.Unlock()
-	return net.DialTimeout("tcp", s.addr, s.timeout)
-}
-
-// maxIdleConns bounds the per-store idle connection pool: a burst may dial
-// more connections than this, but only this many are retained when they come
-// back — the rest are closed so bursty load cannot pin fds forever.
-const maxIdleConns = 4
-
-func (s *SocketStore) putConn(c net.Conn) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || len(s.conns) >= maxIdleConns {
-		c.Close()
-		return
-	}
-	s.conns = append(s.conns, c)
-}
-
-// reqFramePool recycles request-encode buffers across calls: the frame is
-// fully written to the socket before the buffer returns to the pool, so the
-// encode side of a client call allocates nothing in steady state. (Response
-// frames are not pooled — their payloads escape into decoded results.)
-var reqFramePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
-
 // call sends one request and reads one response, retrying transport
-// failures on a fresh connection (callOnce discards the connection on any
-// error). Retrying a put that actually landed is safe: the replica answers
-// the replay with an obsolete-version conflict, which the quorum layer
-// already counts as applied.
+// failures. A per-request timeout abandons the mux slot (the connection
+// survives for the other in-flight calls) and surfaces as a transient
+// net.Error, so it is retried like a dead connection. Retrying a put that
+// actually landed is safe: the replica answers the replay with an
+// obsolete-version conflict, which the quorum layer already counts as
+// applied.
 func (s *SocketStore) call(req *request) (*response, error) {
 	if req.Trace == "" {
 		req.Trace = s.Trace()
 	}
 	resp, err := resilience.RetryValue(context.Background(), s.retry, func() (*response, error) {
-		return s.callOnce(req)
-	})
-	return resp, trace.Annotate(req.Trace, err)
-}
-
-// callOnce performs one request/response exchange: over the shared
-// multiplexed connection by default, or on a dedicated pooled connection in
-// legacy mode. On the mux path the per-request timeout abandons the slot
-// (the connection survives for the other in-flight calls) and surfaces as a
-// transient net.Error, so the retry loop treats it exactly like the legacy
-// deadline kill.
-func (s *SocketStore) callOnce(req *request) (*response, error) {
-	if !s.pooled {
 		payload, err := s.mux.Call(req.appendTo(nil), s.timeout)
 		if err != nil {
 			return nil, err
 		}
 		return decodeResponse(payload)
-	}
-	conn, err := s.getConn()
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(s.timeout)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("voldemort: set deadline: %w", err)
-	}
-	bp := reqFramePool.Get().(*[]byte)
-	buf := appendFramed((*bp)[:0], req.appendTo)
-	_, err = conn.Write(buf) // one write: header + payload
-	*bp = buf[:0]
-	reqFramePool.Put(bp)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	frame, err := readFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("voldemort: clear deadline: %w", err)
-	}
-	s.putConn(conn)
-	return decodeResponse(frame)
+	})
+	return resp, trace.Annotate(req.Trace, err)
 }
 
 // Ping checks node liveness (the failure detector's async probe).
@@ -257,17 +149,7 @@ func (s *SocketStore) Delete(key []byte, clock *vclock.Clock) (bool, error) {
 	return len(resp.Payload) == 1 && resp.Payload[0] == 1, nil
 }
 
-// Close drops the multiplexed connection and any pooled connections.
+// Close drops the multiplexed connection; later calls fail.
 func (s *SocketStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	for _, c := range s.conns {
-		c.Close()
-	}
-	s.conns = nil
-	if s.mux != nil {
-		s.mux.Close()
-	}
-	return nil
+	return s.mux.Close()
 }
